@@ -122,6 +122,125 @@ TEST(ChaosEngine, ProtectedBufferIsNeverFlipped) {
   EXPECT_GT(changed, 0u) << "the unprotected buffer took no flips";
 }
 
+// ------------------------------------------- L2 writeback injection order
+
+// The L2-scramble stream takes one draw per dirty-sector writeback, in the
+// order the L2 model evicts and flushes sectors.  Pinning the injection
+// log pins that order: a cache change that moved one writeback would
+// shift which draws land on which sectors.  The serial == mt4 gate alone
+// cannot see such a change, because both runs would move together.
+struct PinnedInjection {
+  const char* kernel;
+  const char* object;
+  u64 word;
+  u32 words;
+};
+
+// Captured from the array-of-lines tick-LRU L2 model.
+constexpr PinnedInjection kL2WritebackFixture[] = {
+    {"block_ms_prescan", "buffer@131072", 104, 8},
+    {"block_ms_prescan", "buffer@131072", 160, 8},
+    {"block_ms_prescan", "buffer@131072", 176, 8},
+    {"scan_downsweep", "buffer@133120", 168, 8},
+    {"scan_downsweep", "buffer@133120", 200, 8},
+    {"scan_downsweep", "buffer@133120", 448, 8},
+    {"block_ms_postscan", "l2pin.out", 16, 8},
+    {"direct_ms_prescan", "buffer@131072", 104, 8},
+    {"direct_ms_prescan", "buffer@131072", 160, 8},
+    {"direct_ms_prescan", "buffer@131072", 176, 8},
+    {"direct_ms_prescan", "buffer@131072", 680, 8},
+    {"direct_ms_prescan", "buffer@131072", 712, 8},
+    {"direct_ms_prescan", "buffer@131072", 960, 8},
+    {"direct_ms_prescan", "buffer@131072", 1080, 8},
+    {"direct_ms_prescan", "buffer@131072", 1208, 8},
+    {"direct_ms_prescan", "buffer@131072", 1368, 8},
+    {"direct_ms_prescan", "buffer@131072", 1640, 8},
+    {"direct_ms_prescan", "buffer@131072", 1976, 8},
+    {"direct_ms_prescan", "buffer@131072", 2056, 8},
+    {"direct_ms_prescan", "buffer@131072", 2120, 8},
+    {"direct_ms_prescan", "buffer@131072", 2568, 8},
+    {"direct_ms_prescan", "buffer@131072", 2608, 8},
+    {"direct_ms_prescan", "buffer@131072", 2768, 8},
+    {"direct_ms_prescan", "buffer@131072", 2992, 8},
+    {"direct_ms_prescan", "buffer@131072", 3184, 8},
+    {"direct_ms_prescan", "buffer@131072", 3400, 8},
+    {"direct_ms_prescan", "buffer@131072", 3768, 8},
+    {"direct_ms_prescan", "buffer@131072", 3856, 8},
+    {"direct_ms_prescan", "buffer@131072", 3960, 8},
+    {"scan_downsweep", "buffer@147456", 152, 8},
+    {"scan_downsweep", "buffer@147456", 576, 8},
+    {"scan_downsweep", "buffer@147456", 880, 8},
+    {"scan_downsweep", "buffer@147456", 944, 8},
+    {"scan_downsweep", "buffer@147456", 1144, 8},
+    {"scan_downsweep", "buffer@147456", 1168, 8},
+    {"scan_downsweep", "buffer@147456", 1392, 8},
+    {"scan_downsweep", "buffer@147456", 1728, 8},
+    {"scan_downsweep", "buffer@147456", 1776, 8},
+    {"scan_downsweep", "buffer@147456", 1808, 8},
+    {"scan_downsweep", "buffer@147456", 1944, 8},
+    {"scan_downsweep", "buffer@147456", 2160, 8},
+    {"scan_downsweep", "buffer@147456", 2264, 8},
+    {"scan_downsweep", "buffer@147456", 2440, 8},
+    {"scan_downsweep", "buffer@147456", 2464, 8},
+    {"scan_downsweep", "buffer@147456", 2528, 8},
+    {"scan_downsweep", "buffer@147456", 2728, 8},
+    {"scan_downsweep", "buffer@147456", 3032, 8},
+    {"scan_downsweep", "buffer@147456", 3200, 8},
+    {"scan_downsweep", "buffer@147456", 3344, 8},
+    {"scan_downsweep", "buffer@147456", 3440, 8},
+    {"scan_downsweep", "buffer@147456", 3464, 8},
+    {"scan_downsweep", "buffer@147456", 3584, 8},
+    {"scan_downsweep", "buffer@147456", 3664, 8},
+    {"scan_downsweep", "buffer@147456", 3792, 8},
+    {"scan_downsweep", "buffer@147456", 3872, 8},
+};
+
+std::vector<sim::InjectionRecord> l2_writeback_injections() {
+  ChaosPolicy pol;
+  pol.seed = 0x12C0FFEEu;
+  pol.p_l2_corrupt = 0.05;
+  const u64 n = 1u << 14;
+  const u32 m = 8;
+  const auto host = make_keys(n, m, 21);
+  std::vector<sim::InjectionRecord> log;
+  for (const Method method : {Method::kBlockLevel, Method::kDirect}) {
+    sim::Device dev;
+    dev.enable_chaos(pol);
+    sim::DeviceBuffer<u32> in(dev, std::span<const u32>(host), "l2pin.in");
+    sim::DeviceBuffer<u32> out(dev, n, "l2pin.out");
+    dev.chaos()->protect_buffer(in.base_address());
+    MultisplitConfig cfg;
+    cfg.method = method;
+    try {
+      MultisplitPlan(dev, n, m, cfg).run(in, out, RangeBucket{m});
+    } catch (const sim::SimError&) {
+      // A scrambled scratch word may fault a later kernel; the log up to
+      // the fault is still deterministic.
+    }
+    const auto& got = dev.chaos()->log();
+    log.insert(log.end(), got.begin(), got.end());
+  }
+  return log;
+}
+
+TEST(ChaosInject, L2WritebackSequencePinned) {
+  const auto log = l2_writeback_injections();
+  std::string actual;
+  for (const sim::InjectionRecord& r : log) {
+    EXPECT_EQ(r.site, sim::ChaosSite::kL2Writeback);
+    actual += "    {\"" + r.kernel + "\", \"" + r.object + "\", " +
+              std::to_string(r.word) + ", " + std::to_string(r.words) +
+              "},\n";
+  }
+  std::string expected;
+  for (const PinnedInjection& p : kL2WritebackFixture) {
+    expected += std::string("    {\"") + p.kernel + "\", \"" + p.object +
+                "\", " + std::to_string(p.word) + ", " +
+                std::to_string(p.words) + "},\n";
+  }
+  EXPECT_EQ(actual, expected) << "L2 writeback injections changed";
+}
+
 // ----------------------------------- zero overhead / bit-identity when off
 
 TEST(ChaosEngine, IdleEngineIsBitIdenticalToNoEngine) {
