@@ -622,16 +622,33 @@ void Device::merge_shard(CounterShard& shard) {
   // Replay the item's sector stream through the real L2.  Replay order ==
   // merge order == item order == serial execution order, so every access
   // sees the exact cache state it would have seen serially and the
-  // hit/miss (and writeback) sequence is reproduced bit-for-bit.
+  // hit/miss (and writeback) sequence is reproduced bit-for-bit.  The
+  // DRAM transactions are summed per site and attributed once per site:
+  // integer sums give the same totals as attributing every op.
+  merge_dram_.clear();
+  std::size_t cur = 0;  // merge_dram_ entry of the previous op's site
   for (const SectorOp& op : shard.sector_ops) {
-    KernelEvents d;
-    for (u32 s = 0; s < op.count; ++s) {
-      const auto r = op.is_write ? l2_.write(op.first_sector + s)
-                                 : l2_.read(op.first_sector + s);
-      d.dram_read_tx += r.dram_read_tx;
-      d.dram_write_tx += r.dram_write_tx;
+    u64 read_tx = 0;
+    u64 write_tx = 0;
+    for (u64 s = op.first_sector; s < op.first_sector + op.count; ++s) {
+      const auto r = op.is_write ? l2_.write(s) : l2_.read(s);
+      read_tx += r.dram_read_tx;
+      write_tx += r.dram_write_tx;
     }
-    if (!(d == KernelEvents{})) add_attributed(op.site, d);
+    if (merge_dram_.empty() || merge_dram_[cur].first != op.site) {
+      cur = 0;
+      while (cur < merge_dram_.size() && merge_dram_[cur].first != op.site) {
+        ++cur;
+      }
+      if (cur == merge_dram_.size()) {
+        merge_dram_.emplace_back(op.site, KernelEvents{});
+      }
+    }
+    merge_dram_[cur].second.dram_read_tx += read_tx;
+    merge_dram_[cur].second.dram_write_tx += write_tx;
+  }
+  for (const auto& [site, d] : merge_dram_) {
+    if (!(d == KernelEvents{})) add_attributed(site, d);
   }
   for (FaultContext& r : shard.reports) {
     san_.report(std::move(r));

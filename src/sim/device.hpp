@@ -359,6 +359,8 @@ class Device {
   /// Site slices of the kernel currently executing (moved into its
   /// KernelRecord at end_kernel).
   std::vector<std::pair<u32, KernelEvents>> kernel_sites_;
+  /// merge_shard's per-site DRAM sums (kept to reuse its storage).
+  std::vector<std::pair<u32, KernelEvents>> merge_dram_;
 
   /// Guards site_id registration (kernel bodies may register labels from
   /// worker threads; the table itself is only read during execution).
