@@ -140,9 +140,18 @@ TEST(Plan, ScanSplitRejectsLargeMAtBuild) {
 
 // ------------------------------------------------------ config validation
 
-class PlanConfigValidation
-    : public ::testing::TestWithParam<std::pair<const char*, MultisplitConfig>> {
+struct MalformedConfig {
+  const char* label;
+  MultisplitConfig cfg;
 };
+
+// gtest would otherwise print the label's address and the config's raw bytes
+// (padding included), which gtest_discover_tests folds into the ctest name,
+// so the name would change from run to run.
+void PrintTo(const MalformedConfig& c, std::ostream* os) { *os << c.label; }
+
+class PlanConfigValidation
+    : public ::testing::TestWithParam<MalformedConfig> {};
 
 TEST_P(PlanConfigValidation, RejectedAtBuildWithStructuredFault) {
   sim::Device dev;
@@ -180,11 +189,12 @@ MultisplitConfig with_low_relaxation() {
 
 INSTANTIATE_TEST_SUITE_P(
     Malformed, PlanConfigValidation,
-    ::testing::Values(std::pair{"zero_warps", with_zero_warps()},
-                      std::pair{"zero_items", with_zero_items()},
-                      std::pair{"zero_block_items", with_zero_block_items()},
-                      std::pair{"low_relaxation", with_low_relaxation()}),
-    [](const auto& info) { return std::string(info.param.first); });
+    ::testing::Values(MalformedConfig{"zero_warps", with_zero_warps()},
+                      MalformedConfig{"zero_items", with_zero_items()},
+                      MalformedConfig{"zero_block_items",
+                                      with_zero_block_items()},
+                      MalformedConfig{"low_relaxation", with_low_relaxation()}),
+    [](const auto& info) { return std::string(info.param.label); });
 
 TEST(PlanConfigValidation, FreeFunctionsValidateToo) {
   // The wrappers build a plan internally, so the same rejection fires.
