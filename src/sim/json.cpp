@@ -155,7 +155,7 @@ class Parser {
   explicit Parser(std::string_view text) : s_(text) {}
 
   JsonValue parse_document() {
-    JsonValue v = parse_value();
+    JsonValue v = parse_value(0);
     skip_ws();
     if (pos_ != s_.size()) err("trailing characters after document");
     return v;
@@ -232,10 +232,15 @@ class Parser {
     return out;
   }
 
-  JsonValue parse_value() {
+  /// `depth` counts the containers enclosing this value.  Recursion is
+  /// capped so a hostile document cannot overflow the stack.
+  JsonValue parse_value(u32 depth) {
     skip_ws();
     JsonValue v;
     const char c = peek();
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+      err("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
     if (c == '{') {
       ++pos_;
       v.type = JsonValue::Type::kObject;
@@ -249,7 +254,7 @@ class Parser {
         std::string key = parse_string();
         skip_ws();
         expect(':');
-        v.object.emplace_back(std::move(key), parse_value());
+        v.object.emplace_back(std::move(key), parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos_;
@@ -268,7 +273,7 @@ class Parser {
         return v;
       }
       while (true) {
-        v.array.push_back(parse_value());
+        v.array.push_back(parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos_;
@@ -310,6 +315,8 @@ class Parser {
     if (end == nullptr || *end != '\0') err("malformed number");
     return v;
   }
+
+  static constexpr u32 kMaxDepth = 64;
 
   std::string_view s_;
   size_t pos_ = 0;

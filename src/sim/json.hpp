@@ -85,7 +85,7 @@ struct JsonValue {
 };
 
 /// Parse a complete JSON document (throws std::runtime_error on malformed
-/// input or trailing garbage).
+/// input, trailing garbage, or nesting deeper than 64 levels).
 JsonValue parse_json(std::string_view text);
 
 }  // namespace ms::sim

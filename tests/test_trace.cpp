@@ -58,6 +58,27 @@ TEST(Json, ParserRejectsMalformedInput) {
   EXPECT_THROW(parse_json("{'a':1}"), std::runtime_error);
 }
 
+TEST(Json, ParserCapsNestingDepth) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  // 64 levels parse; one more is a structured error at the 65th '['.
+  EXPECT_TRUE(parse_json(nested(64)).is_array());
+  try {
+    parse_json(nested(65));
+    ADD_FAILURE() << "65 levels must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("json parse error at offset 64"),
+              std::string::npos)
+        << e.what();
+  }
+  // Deep enough to overflow the stack of an uncapped recursive parser.
+  EXPECT_THROW(parse_json(nested(200000)), std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse_json(objects), std::runtime_error);
+}
+
 TEST(Json, ParserAcceptsEscapesAndNumbers) {
   const JsonValue v =
       parse_json(R"({"s":"aA\t","x":-1.5e3,"n":null})");
