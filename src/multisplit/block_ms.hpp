@@ -29,8 +29,6 @@
 // of that regime is charged organically.
 #pragma once
 
-#include <optional>
-
 #include "multisplit/bucket.hpp"
 #include "multisplit/common.hpp"
 #include "multisplit/warp_ms.hpp"
@@ -61,14 +59,6 @@ MultisplitResult block_ms(Device& dev, const DeviceBuffer<u32>& keys_in,
   const sim::SiteId scatter_site = dev.site_id("block_ms/postscan_scatter");
 
   MultisplitResult result;
-  // The pre-scan histogram and the bucket-count scan are cost-uniform:
-  // loads are unit-stride at shape-derived addresses, histogram charges
-  // are mask-only closed forms, and every shared/scatter index is
-  // lane-computed -- no charge depends on key values.  Declaring them
-  // eligible lets a reused plan record/replay their accounting (the
-  // tape's verify run proves the claim; see sim/tape.hpp).  The
-  // post-scan is key-dependent and always runs live.
-  std::optional<sim::UniformStageScope> uniform(std::in_place, dev);
   sim::ProfileRegion prescan_region(dev, "block_ms/prescan");
 
   // Element index of warp wi's round r lane base within block b.
@@ -164,7 +154,6 @@ MultisplitResult block_ms(Device& dev, const DeviceBuffer<u32>& keys_in,
   sim::ProfileRegion scan_region(dev, "block_ms/scan");
   prim::exclusive_scan<u32>(dev, h, g);
   const sim::TimingSummary scan_sum = scan_region.end();
-  uniform.reset();
   sim::ProfileRegion postscan_region(dev, "block_ms/postscan");
 
   // ---------------- post-scan ----------------

@@ -21,11 +21,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -39,7 +37,6 @@
 #include "multisplit/scan_split.hpp"
 #include "multisplit/sort_baselines.hpp"
 #include "multisplit/warp_ms.hpp"
-#include "sim/tape.hpp"
 #include "sim/telemetry.hpp"
 
 namespace ms::split {
@@ -500,41 +497,20 @@ class MultisplitPlan {
   /// With pooling on, runs after the first are served from the free lists.
   u64 temp_storage_bytes() const { return temp_bytes_; }
 
-  /// Trace-replay introspection (tests, benches, the CLI): which phase the
-  /// plan's fast path is in -- "idle" (nothing recorded yet), "recorded"
-  /// (awaiting the verify run), "ready" (replaying), "disabled".
-  const char* replay_phase() const {
-    switch (replay_.phase) {
-      case ReplayState::Phase::kIdle: return "idle";
-      case ReplayState::Phase::kRecorded: return "recorded";
-      case ReplayState::Phase::kReady: return "ready";
-      case ReplayState::Phase::kDisabled: return "disabled";
-    }
-    return "disabled";
-  }
-  /// True once runs on the recorded buffers replay taped accounting.
-  bool replay_active() const {
-    return replay_.phase == ReplayState::Phase::kReady;
-  }
+  /// Trace replay was removed; these constants stay only so the
+  /// repository benchmark (perfbench/), which reports them, compiles.
+  const char* replay_phase() const { return "off"; }
+  bool replay_active() const { return false; }
 
   /// Key-only execution.  `in` must hold exactly n() keys.
-  ///
-  /// Reused plans engage the trace-replay fast path automatically: the
-  /// first run records the cost-uniform stages' accounting streams, the
-  /// second proves them input-independent (byte-identical re-recording),
-  /// and later runs on the same buffers replay the recorded accounting
-  /// through the live L2 while executing only the data movement --
-  /// bit-identical modeled costs at a fraction of the host work.  Any
-  /// mismatch (different buffers, scratch placement, launch sequence, a
-  /// fault) falls back to live accounting, and the path never engages
-  /// with the sanitizer or chaos armed, under run(..., RetryPolicy), or
-  /// with MS_REPLAY=off.
   template <typename BucketFn>
   MultisplitResult run(const sim::DeviceBuffer<u32>& in,
                        sim::DeviceBuffer<u32>& out, BucketFn bucket_of) const {
     check_keys(in, out);
-    return run_traced<BucketFn, u32>(in, out, detail::kNoValues,
-                                     detail::kNoValuesOut, bucket_of);
+    return detail::run_method<BucketFn, u32>(method_, *dev_, in, out,
+                                             detail::kNoValues,
+                                             detail::kNoValuesOut, m_,
+                                             bucket_of, cfg_);
   }
 
   /// Key-value execution; values travel with their keys.
@@ -548,8 +524,9 @@ class MultisplitPlan {
                   "multisplit values are u32 or u64 (use a pointer otherwise)");
     check_pairs(keys_in, vals_in.size(), keys_out, vals_out.size());
     check(&vals_in != &vals_out, "multisplit: in and out must be distinct");
-    return run_traced<BucketFn, V>(keys_in, keys_out, &vals_in, &vals_out,
-                                   bucket_of);
+    return detail::run_method<BucketFn, V>(method_, *dev_, keys_in, keys_out,
+                                           &vals_in, &vals_out, m_, bucket_of,
+                                           cfg_);
   }
 
   /// Resilient key-only execution: retry/fallback/validation per `rp`
@@ -607,102 +584,6 @@ class MultisplitPlan {
   void check_pairs(const sim::DeviceBuffer<u32>& keys_in, u64 vals_in_size,
                    const sim::DeviceBuffer<u32>& keys_out,
                    u64 vals_out_size) const;
-
-  /// Trace-replay state for the plain entry points.  kIdle records the
-  /// first run, kRecorded re-records and compares (the verify handshake),
-  /// kReady replays; anything suspicious lands in kDisabled, which is
-  /// permanent for the plan -- replay is an optimization, never a
-  /// correctness risk worth re-probing.
-  struct ReplayState {
-    enum class Phase : u8 { kIdle, kRecorded, kReady, kDisabled };
-    Phase phase = Phase::kIdle;
-    sim::CostTape tape;    ///< the candidate (kRecorded) / proven (kReady) recording
-    sim::CostTape verify;  ///< scratch for the confirmation run
-    /// Base addresses of in/out/vals_in/vals_out at record time: the
-    /// recorded sector streams are absolute, so replay requires the same
-    /// buffer placement.  Runs on other buffers execute live.
-    std::array<u64, 4> bases{};
-  };
-  mutable ReplayState replay_;
-
-  /// MS_REPLAY=off (or 0) disables the fast path process-wide.
-  static bool replay_env_enabled() {
-    static const bool on = [] {
-      const char* env = std::getenv("MS_REPLAY");
-      if (env == nullptr || *env == '\0') return true;
-      const std::string_view v(env);
-      return v != "off" && v != "0";
-    }();
-    return on;
-  }
-
-  /// Taping requires deterministic, report-free accounting: the sanitizer
-  /// may report (and suppress) differently run-to-run, and chaos injects
-  /// by design.  Both force the plain live path.
-  bool replay_eligible() const {
-    return replay_env_enabled() && !dev_->sanitizer().any() &&
-           dev_->chaos() == nullptr;
-  }
-
-  template <typename BucketFn, typename V>
-  MultisplitResult run_traced(const sim::DeviceBuffer<u32>& in,
-                              sim::DeviceBuffer<u32>& out,
-                              const sim::DeviceBuffer<V>* vals_in,
-                              sim::DeviceBuffer<V>* vals_out,
-                              BucketFn bucket_of) const {
-    using Phase = ReplayState::Phase;
-    sim::Device& dev = *dev_;
-    ReplayState& rs = replay_;
-    if (rs.phase == Phase::kDisabled || !replay_eligible()) {
-      return detail::run_method<BucketFn, V>(method_, dev, in, out, vals_in,
-                                             vals_out, m_, bucket_of, cfg_);
-    }
-    const std::array<u64, 4> bases = {
-        in.base_address(), out.base_address(),
-        vals_in != nullptr ? vals_in->base_address() : 0,
-        vals_out != nullptr ? vals_out->base_address() : 0};
-    // Different buffers than the recording: run live, keep the state (a
-    // caller may alternate buffer sets; the recorded set still replays).
-    if (rs.phase != Phase::kIdle && bases != rs.bases) {
-      return detail::run_method<BucketFn, V>(method_, dev, in, out, vals_in,
-                                             vals_out, m_, bucket_of, cfg_);
-    }
-    const sim::TapeMode mode = rs.phase == Phase::kReady
-                                   ? sim::TapeMode::kReplay
-                                   : sim::TapeMode::kRecord;
-    dev.tape_start(mode, rs.phase == Phase::kRecorded ? &rs.verify : &rs.tape);
-    MultisplitResult r;
-    try {
-      r = detail::run_method<BucketFn, V>(method_, dev, in, out, vals_in,
-                                          vals_out, m_, bucket_of, cfg_);
-    } catch (...) {
-      dev.tape_finish();
-      rs.phase = Phase::kDisabled;
-      throw;
-    }
-    const bool ok = dev.tape_finish();
-    switch (rs.phase) {
-      case Phase::kIdle:
-        // Keep the candidate recording (when any stage taped cleanly).
-        rs.phase = ok && !rs.tape.launches.empty() ? Phase::kRecorded
-                                                   : Phase::kDisabled;
-        rs.bases = bases;
-        break;
-      case Phase::kRecorded:
-        // The verify handshake: only a recording that reproduced
-        // byte-for-byte on a second run is ever replayed.
-        rs.phase = ok && sim::tapes_equal(rs.tape, rs.verify) ? Phase::kReady
-                                                              : Phase::kDisabled;
-        rs.verify = sim::CostTape{};
-        break;
-      case Phase::kReady:
-        if (!ok) rs.phase = Phase::kDisabled;
-        break;
-      case Phase::kDisabled:
-        break;
-    }
-    return r;
-  }
 
   sim::Device* dev_;
   u64 n_;

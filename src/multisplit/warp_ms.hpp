@@ -25,8 +25,6 @@
 // the counted segments.
 #pragma once
 
-#include <optional>
-
 #include "multisplit/bucket.hpp"
 #include "multisplit/common.hpp"
 #include "primitives/scan.hpp"
@@ -91,11 +89,6 @@ MultisplitResult warp_granularity_ms(Device& dev,
       dev.site_id(std::string(tag) + "/postscan_scatter");
 
   MultisplitResult result;
-  // Pre-scan + scan are cost-uniform (shape-derived addresses, mask-only
-  // histogram charges, lane-computed staging indices), so a reused plan
-  // may record/replay their accounting; the post-scan is key-dependent
-  // and always runs live.  See block_ms.hpp / sim/tape.hpp.
-  std::optional<sim::UniformStageScope> uniform(std::in_place, dev);
   sim::ProfileRegion prescan_region(dev, std::string(tag) + "/prescan");
 
   // ---------------- pre-scan ----------------
@@ -167,7 +160,6 @@ MultisplitResult warp_granularity_ms(Device& dev,
   sim::ProfileRegion scan_region(dev, std::string(tag) + "/scan");
   prim::exclusive_scan<u32>(dev, h, g);
   const sim::TimingSummary scan_sum = scan_region.end();
-  uniform.reset();
   sim::ProfileRegion postscan_region(dev, std::string(tag) + "/postscan");
 
   // ---------------- post-scan ----------------

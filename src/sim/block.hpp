@@ -412,18 +412,6 @@ LaneArray<T> Warp::smem_read(const SharedArray<T>& arr,
                              const LaneArray<u32>& idx, LaneMask active) {
   LaneArray<T> out{};
   if (active == 0) return out;
-  if (dev_->charging_off()) {
-    // Tape replay: the recorded shard carries the access/conflict
-    // accounting; only the data movement (and its safety check) remains.
-    for_each_lane(active, [&](u32 lane) {
-      if (idx[lane] >= arr.size_) {
-        smem_oob_fail(idx[lane], arr.size_, arr.object(), lane,
-                      "shared memory read");
-      }
-      out[lane] = arr.data()[idx[lane]];
-    });
-    return out;
-  }
   count_simt(active);
   dev_->events().smem_accesses += 1;
   dev_->events().smem_slots += detail::smem_conflict_degree(arr, idx, active);
@@ -449,16 +437,6 @@ template <typename T>
 void Warp::smem_write(SharedArray<T>& arr, const LaneArray<u32>& idx,
                       const LaneArray<T>& v, LaneMask active) {
   if (active == 0) return;
-  if (dev_->charging_off()) {
-    for_each_lane(active, [&](u32 lane) {
-      if (idx[lane] >= arr.size_) {
-        smem_oob_fail(idx[lane], arr.size_, arr.object(), lane,
-                      "shared memory write");
-      }
-      arr.data()[idx[lane]] = v[lane];
-    });
-    return;
-  }
   count_simt(active);
   dev_->events().smem_accesses += 1;
   dev_->events().smem_slots += detail::smem_conflict_degree(arr, idx, active);
@@ -485,17 +463,6 @@ LaneArray<T> Warp::smem_atomic_add(SharedArray<T>& arr,
                                    const LaneArray<T>& v, LaneMask active) {
   LaneArray<T> out{};
   if (active == 0) return out;
-  if (dev_->charging_off()) {
-    for_each_lane(active, [&](u32 lane) {
-      if (idx[lane] >= arr.size_) {
-        smem_oob_fail(idx[lane], arr.size_, arr.object(), lane,
-                      "shared memory atomic");
-      }
-      out[lane] = arr.data()[idx[lane]];
-      arr.data()[idx[lane]] += v[lane];
-    });
-    return out;
-  }
   count_simt(active);
   dev_->events().smem_accesses += 1;
   // Shared atomics serialize on address collisions.

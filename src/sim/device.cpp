@@ -165,23 +165,7 @@ void Device::disable_chaos() {
 }
 
 u64 Device::allocate_address_range(u64 bytes) {
-  const u64 base = alloc_.allocate(bytes);
-  // Scratch placement is part of a cost tape's validity: recorded sector
-  // streams are absolute, so replay is only sound when every allocation
-  // of the run lands at the recorded base (the pooling allocator makes
-  // this the common case for a reused plan).  A mismatch invalidates the
-  // tape; the rest of the run falls back to live accounting.
-  if (tape_mode_ == TapeMode::kRecord && tape_ok_) {
-    tape_->allocs.push_back(base);
-  } else if (tape_mode_ == TapeMode::kReplay && tape_ok_) {
-    if (tape_alloc_cursor_ < tape_->allocs.size() &&
-        tape_->allocs[tape_alloc_cursor_] == base) {
-      ++tape_alloc_cursor_;
-    } else {
-      tape_ok_ = false;
-    }
-  }
-  return base;
+  return alloc_.allocate(bytes);
 }
 
 void Device::free_address_range(u64 base, u64 bytes) {
@@ -189,7 +173,6 @@ void Device::free_address_range(u64 base, u64 bytes) {
 }
 
 void Device::touch_read_sectors(u64 first_sector, u32 segments) {
-  if (charging_off_) return;  // replay: taped sector stream carries these
   if (CounterShard* sh = detail::t_shard; sh != nullptr) {
     sh->events.l2_read_segments += segments;
     sh->record_sectors(first_sector, segments, /*is_write=*/false);
@@ -204,7 +187,6 @@ void Device::touch_read_sectors(u64 first_sector, u32 segments) {
 }
 
 void Device::touch_write_sectors(u64 first_sector, u32 segments) {
-  if (charging_off_) return;  // replay: taped sector stream carries these
   if (CounterShard* sh = detail::t_shard; sh != nullptr) {
     sh->events.l2_write_segments += segments;
     sh->record_sectors(first_sector, segments, /*is_write=*/true);
@@ -219,7 +201,6 @@ void Device::touch_write_sectors(u64 first_sector, u32 segments) {
 }
 
 void Device::touch_read_sector(u64 sector) {
-  if (charging_off_) return;  // replay: taped sector stream carries these
   if (CounterShard* sh = detail::t_shard; sh != nullptr) {
     sh->events.l2_read_segments += 1;
     sh->record_sectors(sector, 1, /*is_write=*/false);
@@ -232,7 +213,6 @@ void Device::touch_read_sector(u64 sector) {
 }
 
 void Device::touch_write_sector(u64 sector) {
-  if (charging_off_) return;  // replay: taped sector stream carries these
   if (CounterShard* sh = detail::t_shard; sh != nullptr) {
     sh->events.l2_write_segments += 1;
     sh->record_sectors(sector, 1, /*is_write=*/true);
@@ -415,19 +395,6 @@ void Device::run_items(u64 n, const std::function<void(u64)>& body) {
   // takes the normal aborted-launch path -- note_fault, a faulted
   // KernelRecord, rethrow (or a sanitizer report in reporting mode).
   if (chaos_ != nullptr) chaos_->maybe_abort_launch();
-  // Cost-tape hooks: only launches inside a UniformStageScope participate,
-  // and only while the tape is still valid.  Replay is serial regardless
-  // of host_threads_ (no accounting work remains to parallelize); a tape
-  // mismatch falls through to normal live execution.
-  if (tape_mode_ != TapeMode::kOff && uniform_depth_ > 0 && tape_ok_) {
-    if (tape_mode_ == TapeMode::kReplay) {
-      if (tape_replay_launch(n, body)) return;
-    } else if (host_threads_ <= 1 || n <= 1) {
-      tape_record_serial(n, body);
-      return;
-    }
-    // Parallel recording is handled inside the scheduler's merge loop.
-  }
   const u32 threads = host_threads_;
   if (threads <= 1 || n <= 1) {
     for (u64 i = 0; i < n; ++i) body(i);
@@ -445,13 +412,6 @@ void Device::run_items(u64 n, const std::function<void(u64)>& body) {
   // as the serial loop would.
   const SiteId launch_site = current_site_;
   std::exception_ptr first_error;
-  // Parallel tape recording: merged shards are moved into the tape after
-  // the merge consumed their live effects (the merge only reads the
-  // cost-relevant fields).  Any fault/report/error poisons the tape.
-  const bool taping =
-      tape_mode_ == TapeMode::kRecord && uniform_depth_ > 0 && tape_ok_;
-  LaunchTape taped;
-  if (taping) taped.name = current_name_;
   // Batching bounds the memory held by recorded sector streams; it cannot
   // change results (batches run back-to-back, merges stay in item order,
   // and the completed-prefix fence spans the whole launch).
@@ -487,18 +447,8 @@ void Device::run_items(u64 n, const std::function<void(u64)>& body) {
     // counters but nothing after it is merged: serial execution would
     // have thrown before reaching those items.
     for (u64 i = 0; i < count; ++i) {
-      const bool clean = !shards[i].fault.has_value() &&
-                         shards[i].reports.empty() &&
-                         shards[i].error == nullptr;
       const std::exception_ptr err = shards[i].error;
       merge_shard(shards[i]);
-      if (taping) {
-        if (clean) {
-          taped.shards.push_back(std::move(shards[i]));
-        } else {
-          tape_ok_ = false;
-        }
-      }
       if (err != nullptr) {
         first_error = err;
         break;
@@ -506,107 +456,12 @@ void Device::run_items(u64 n, const std::function<void(u64)>& body) {
     }
   }
   sync_.reset();
-  if (taping) {
-    if (tape_ok_ && first_error == nullptr) {
-      tape_->launches.push_back(std::move(taped));
-    } else {
-      tape_ok_ = false;
-    }
-  }
   if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
-void Device::tape_start(TapeMode mode, CostTape* tape) {
-  check(tape_mode_ == TapeMode::kOff, "tape_start: a tape is already active");
-  check(!in_kernel_, "tape_start: kernel executing");
-  check(mode != TapeMode::kOff && tape != nullptr, "tape_start: bad arguments");
-  tape_mode_ = mode;
-  tape_ = tape;
-  tape_cursor_ = 0;
-  tape_alloc_cursor_ = 0;
-  tape_ok_ = true;
-  if (mode == TapeMode::kRecord) tape_->clear();
-}
-
-bool Device::tape_finish() {
-  bool ok = tape_ok_;
-  // A replay run must consume the whole recording: fewer launches or
-  // allocations than recorded means the plan took a different path.
-  if (tape_mode_ == TapeMode::kReplay) {
-    ok = ok && tape_cursor_ == tape_->launches.size() &&
-         tape_alloc_cursor_ == tape_->allocs.size();
-  }
-  tape_mode_ = TapeMode::kOff;
-  tape_ = nullptr;
-  charging_off_ = false;
-  tape_ok_ = true;
-  return ok;
-}
-
-void Device::tape_record_serial(u64 n, const std::function<void(u64)>& body) {
-  // One shard for the whole launch: the body's charges, site slices and
-  // sector touches all land in it, and the post-run merge applies them
-  // exactly as the plain serial path would have (the shard merge replays
-  // sector touches through the L2 in recorded order).
-  CounterShard sh;
-  sh.current_site = current_site_;
-  detail::t_shard = &sh;
-  try {
-    for (u64 i = 0; i < n; ++i) body(i);
-  } catch (...) {
-    detail::t_shard = nullptr;
-    tape_ok_ = false;
-    // Keep the live effects up to the throw, mirroring the serial loop.
-    merge_shard(sh);
-    throw;
-  }
-  detail::t_shard = nullptr;
-  const bool clean = !sh.fault.has_value() && sh.reports.empty();
-  merge_shard(sh);
-  if (!clean) {
-    tape_ok_ = false;
-    return;
-  }
-  LaunchTape taped;
-  taped.name = current_name_;
-  taped.shards.push_back(std::move(sh));
-  tape_->launches.push_back(std::move(taped));
-}
-
-bool Device::tape_replay_launch(u64 n, const std::function<void(u64)>& body) {
-  if (tape_cursor_ >= tape_->launches.size() ||
-      tape_->launches[tape_cursor_].name != current_name_) {
-    tape_ok_ = false;  // unexpected launch: fall back to live execution
-    return false;
-  }
-  LaunchTape& taped = tape_->launches[tape_cursor_];
-  ++tape_cursor_;
-  // Run the body for its data effects only.  Serial even at high thread
-  // counts: with charging suppressed there is no accounting left to
-  // shard, and the stage's values are lane-deterministic.
-  charging_off_ = true;
-  try {
-    for (u64 i = 0; i < n; ++i) body(i);
-  } catch (...) {
-    charging_off_ = false;
-    tape_ok_ = false;
-    throw;
-  }
-  charging_off_ = false;
-  // Merge the recorded shards through the live device state: identical
-  // counter deltas, site attribution and L2 evolution to executing the
-  // launch, by the same argument that makes the parallel scheduler's
-  // merge bit-identical to serial execution.
-  for (CounterShard& sh : taped.shards) merge_shard(sh);
-  return true;
 }
 
 void Device::global_atomic_fence() {
   CounterShard* sh = detail::t_shard;
-  // sync_ is null when a shard is armed outside the parallel scheduler
-  // (the serial tape-recording path): item order is execution order
-  // there, so there is nothing to wait for.
-  if (sh == nullptr || sh->fence_passed || sync_ == nullptr) return;
+  if (sh == nullptr || sh->fence_passed) return;
   LaunchSync& s = *sync_;
   std::unique_lock<std::mutex> lock(s.mu);
   s.cv.wait(lock, [&] { return s.prefix >= sh->item_id; });

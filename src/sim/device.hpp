@@ -29,7 +29,6 @@
 #include "sim/sanitizer.hpp"
 #include "sim/shard.hpp"
 #include "sim/span.hpp"
-#include "sim/tape.hpp"
 #include "sim/types.hpp"
 
 namespace ms::sim {
@@ -111,7 +110,6 @@ class Device {
   /// while a parallel item runs on this thread, the kernel totals
   /// otherwise (serial path, and host code between launches).
   KernelEvents& events() {
-    if (charging_off_) return discard_events_;
     CounterShard* sh = detail::t_shard;
     return sh != nullptr ? sh->events : current_;
   }
@@ -131,7 +129,6 @@ class Device {
   /// the maximum across the kernel's blocks lands in
   /// KernelRecord::peak_smem_bytes for the occupancy proxy.
   void note_smem_usage(u32 bytes) {
-    if (charging_off_) return;  // replay: the taped shard carries the peak
     CounterShard* sh = detail::t_shard;
     if (sh != nullptr) {
       sh->peak_smem = std::max(sh->peak_smem, bytes);
@@ -280,30 +277,6 @@ class Device {
                         alloc_.stats().reuse_hits};
   }
 
-  // --- cost-tape record/replay (sim/tape.hpp; MultisplitPlan drives it) ---
-  /// Attach `tape` for the duration of one plan run.  kRecord: annotated
-  /// launches execute live and append their merged shard streams to the
-  /// tape; every allocation base is logged.  kReplay: annotated launches
-  /// execute functionally with charging suppressed and merge the taped
-  /// shards through the live L2 instead; allocation bases are checked
-  /// against the recording.  Must be bracketed with tape_finish().
-  void tape_start(TapeMode mode, CostTape* tape);
-  /// Detach the tape.  Returns false when anything invalidated it: a
-  /// fault, a sanitizer report, an exception, an allocation-placement or
-  /// launch-name mismatch, or (on replay) leftover unconsumed entries.
-  bool tape_finish();
-  /// Bracket for cost-uniform stages (UniformStageScope below): only
-  /// launches inside the bracket are taped/replayed; everything else runs
-  /// live even while a tape is attached.
-  void uniform_stage_push() { ++uniform_depth_; }
-  void uniform_stage_pop() { --uniform_depth_; }
-  /// True while a replayed launch body executes: warp/block instructions
-  /// move data but suppress charges, touches and checks (the taped shards
-  /// carry the accounting).
-  bool charging_off() const { return charging_off_; }
-  /// True while the attached tape is still valid (diagnostics/tests).
-  bool tape_ok() const { return tape_ok_; }
-
  private:
   /// Attribute `current_ - site_snapshot_` to the current site.
   void flush_site_delta();
@@ -316,16 +289,6 @@ class Device {
   /// Add a counter delta to the kernel totals and to `site`'s slices,
   /// keeping the site-snapshot invariant (no pending delta afterwards).
   void add_attributed(SiteId site, const KernelEvents& delta);
-
-  /// Record one annotated serial launch into the active tape: the whole
-  /// launch runs under a single CounterShard which is merged (for the
-  /// live effects) and then appended to the tape.
-  void tape_record_serial(u64 n, const std::function<void(u64)>& body);
-  /// Replay one annotated launch from the active tape: validate the
-  /// launch name, run the body with charging suppressed, merge the taped
-  /// shards.  Returns false (without running anything) when the tape does
-  /// not match -- the caller falls back to live execution.
-  bool tape_replay_launch(u64 n, const std::function<void(u64)>& body);
 
   /// Cross-item synchronization of one parallel launch (the
   /// completed-prefix fence global_atomic_fence waits on).
@@ -370,16 +333,6 @@ class Device {
   std::unique_ptr<ThreadPool> pool_;     // lazily created, reused
   std::unique_ptr<LaunchSync> sync_;     // non-null only during run_items
 
-  // --- cost-tape state (see tape.hpp) ---
-  TapeMode tape_mode_ = TapeMode::kOff;
-  CostTape* tape_ = nullptr;        // non-null while a tape is attached
-  u64 tape_cursor_ = 0;             // next launch to replay
-  u64 tape_alloc_cursor_ = 0;       // next allocation base to check
-  u32 uniform_depth_ = 0;           // inside a UniformStageScope when > 0
-  bool charging_off_ = false;       // replayed launch body executing
-  bool tape_ok_ = true;             // recording/replay still valid
-  KernelEvents discard_events_;     // events() sink while charging_off_
-
   std::unique_ptr<ChaosEngine> chaos_;   // null when chaos is off
   ResilienceStats res_stats_;
 
@@ -399,25 +352,6 @@ class Device {
   u64 lifetime_launches_ = 0;
   u64 lifetime_l2_read_segments_ = 0;
   u64 lifetime_dram_read_tx_ = 0;
-};
-
-/// RAII marker for a cost-uniform stage: every launch inside the scope is
-/// declared to derive its accounting from the launch shape alone (never
-/// from key values), making it eligible for tape record/replay.  The
-/// declaration is *checked*, not trusted: the plan's verify run proves
-/// the recorded streams reproduce before any replay happens.  No-op when
-/// no tape is attached.
-class UniformStageScope {
- public:
-  explicit UniformStageScope(Device& dev) : dev_(&dev) {
-    dev_->uniform_stage_push();
-  }
-  ~UniformStageScope() { dev_->uniform_stage_pop(); }
-  UniformStageScope(const UniformStageScope&) = delete;
-  UniformStageScope& operator=(const UniformStageScope&) = delete;
-
- private:
-  Device* dev_;
 };
 
 }  // namespace ms::sim

@@ -38,8 +38,6 @@ struct SectorOp {
   u32 count = 0;
   u32 site = 0;       // SiteId active when the touch was recorded
   bool is_write = false;
-
-  bool operator==(const SectorOp&) const = default;
 };
 
 /// Accounting state of one scheduled item (one block, or one chunk of

@@ -186,19 +186,6 @@ class Warp {
                     LaneMask active = kFullMask) {
     LaneArray<T> out{};
     if (active == 0) return out;
-    if (dev_->charging_off()) {
-      // Tape replay: the recorded shard carries this load's accounting;
-      // only the data movement (and its safety check) remains.
-      if (active == kFullMask && base + kWarpSize <= buf.size()) {
-        std::memcpy(out.data(), buf.raw_data() + base, kWarpSize * sizeof(T));
-        return out;
-      }
-      for_each_lane(active, [&](u32 lane) {
-        bounds_check(buf, base + lane, lane, "unit-stride load");
-        out[lane] = buf.raw_data()[base + lane];
-      });
-      return out;
-    }
     count_simt(active);
     charge_contiguous</*is_write=*/false, T>(buf, base, active);
     if (active == kFullMask && base + kWarpSize <= buf.size() &&
@@ -222,17 +209,6 @@ class Warp {
   void store(DeviceBuffer<T>& buf, u64 base, const LaneArray<T>& v,
              LaneMask active = kFullMask) {
     if (active == 0) return;
-    if (dev_->charging_off()) {
-      if (active == kFullMask && base + kWarpSize <= buf.size()) {
-        std::memcpy(buf.raw_data() + base, v.data(), kWarpSize * sizeof(T));
-        return;
-      }
-      for_each_lane(active, [&](u32 lane) {
-        bounds_check(buf, base + lane, lane, "unit-stride store");
-        buf.raw_data()[base + lane] = v[lane];
-      });
-      return;
-    }
     count_simt(active);
     charge_contiguous</*is_write=*/true, T>(buf, base, active);
     GlobalShadow* sh = buf.init_shadow();
@@ -254,13 +230,6 @@ class Warp {
                       LaneMask active = kFullMask) {
     LaneArray<T> out{};
     if (active == 0) return out;
-    if (dev_->charging_off()) {
-      for_each_lane(active, [&](u32 lane) {
-        bounds_check(buf, idx[lane], lane, "gather");
-        out[lane] = buf.raw_data()[idx[lane]];
-      });
-      return out;
-    }
     count_simt(active);
     charge_scattered</*is_write=*/false, T>(buf, idx, active);
     for_each_lane(active, [&](u32 lane) {
@@ -276,13 +245,6 @@ class Warp {
   void scatter(DeviceBuffer<T>& buf, const LaneArray<u64>& idx,
                const LaneArray<T>& v, LaneMask active = kFullMask) {
     if (active == 0) return;
-    if (dev_->charging_off()) {
-      for_each_lane(active, [&](u32 lane) {
-        bounds_check(buf, idx[lane], lane, "scatter");
-        buf.raw_data()[idx[lane]] = v[lane];
-      });
-      return;
-    }
     count_simt(active);
     charge_scattered</*is_write=*/true, T>(buf, idx, active);
     GlobalShadow* sh = buf.init_shadow();
@@ -301,15 +263,6 @@ class Warp {
                           const LaneArray<T>& v, LaneMask active = kFullMask) {
     LaneArray<T> out{};
     if (active == 0) return out;
-    if (dev_->charging_off()) {
-      for_each_lane(active, [&](u32 lane) {
-        bounds_check(buf, idx[lane], lane, "atomicAdd");
-        out[lane] = atomic_rmw(buf.raw_data()[idx[lane]], [&](T old) {
-          return static_cast<T>(old + v[lane]);
-        });
-      });
-      return out;
-    }
     dev_->global_atomic_fence();
     count_simt(active);
     charge_scattered</*is_write=*/true, T>(buf, idx, active);
@@ -348,14 +301,6 @@ class Warp {
                           const LaneArray<T>& v, LaneMask active = kFullMask) {
     LaneArray<T> out{};
     if (active == 0) return out;
-    if (dev_->charging_off()) {
-      for_each_lane(active, [&](u32 lane) {
-        bounds_check(buf, idx[lane], lane, "atomicMin");
-        out[lane] = atomic_rmw(buf.raw_data()[idx[lane]],
-                               [&](T old) { return std::min(old, v[lane]); });
-      });
-      return out;
-    }
     dev_->global_atomic_fence();
     count_simt(active);
     charge_scattered</*is_write=*/true, T>(buf, idx, active);

@@ -318,30 +318,65 @@ TEST(PlanReuse, ThreeRunsMatchThreeFreshSingleShots) {
   EXPECT_GT(dev.allocator().stats().reuse_hits, 0u);
 }
 
+/// Everything a reused-plan run produces: outputs plus every modeled
+/// cost of every launch, down to the per-site counter slices.
+struct ReuseRun {
+  std::vector<u32> offsets;
+  std::vector<u32> keys;
+  f64 total_ms = 0.0;
+  std::vector<std::string> kernels;
+  std::vector<f64> kernel_ms;  // time_ms, mem_time_ms, issue_time_ms each
+  std::vector<sim::KernelEvents> events;
+  std::vector<std::vector<std::pair<u32, sim::KernelEvents>>> sites;
+  bool operator==(const ReuseRun&) const = default;
+};
+
 TEST(PlanReuse, ReusedRunsAreDeterministic) {
-  // Pool reuse is LIFO over deterministic free lists, so the whole
-  // reuse sequence -- including every modeled time -- must reproduce
-  // bit-for-bit on a second device.  (Individual reused runs may differ
-  // slightly from run 1 in either direction: recycled residency shifts
-  // L2 set pressure.  Determinism is the contract; plan_reuse measures
-  // the amortized win.)
+  // Pool reuse is LIFO over deterministic free lists and the parallel
+  // scheduler merges in item order, so the whole reuse sequence --
+  // including every modeled cost -- must reproduce bit-for-bit on a
+  // second device and on 4 host threads.  (Individual reused runs may
+  // differ slightly from run 1 in either direction: recycled residency
+  // shifts L2 set pressure.  Determinism is the contract; plan_reuse
+  // measures the amortized win.)
   const u64 n = 1u << 12;
-  auto sequence = [&] {
-    sim::Device dev;
-    const MultisplitPlan plan(dev, n, 16);
-    sim::DeviceBuffer<u32> in(dev, n), out(dev, n);
-    std::vector<f64> times;
-    for (u32 round = 0; round < 3; ++round) {
-      const auto host = make_keys(n, 16, 900 + round);
-      std::copy(host.begin(), host.end(), in.host().begin());
-      times.push_back(plan.run(in, out, RangeBucket{16}).total_ms());
-    }
-    return times;
-  };
-  const auto a = sequence();
-  const auto b = sequence();
-  EXPECT_EQ(a, b);
-  EXPECT_GT(a[0], 0.0);
+  const u32 m = 16;
+  for (const Method method : {Method::kBlockLevel, Method::kWarpLevel}) {
+    auto sequence = [&](u32 threads) {
+      sim::Device dev;
+      dev.set_host_threads(threads);
+      MultisplitConfig cfg;
+      cfg.method = method;
+      const MultisplitPlan plan(dev, n, m, cfg);
+      sim::DeviceBuffer<u32> in(dev, n), out(dev, n);
+      std::vector<ReuseRun> runs;
+      for (u32 round = 0; round < 5; ++round) {
+        const auto host = make_keys(n, m, 900 + round);
+        std::copy(host.begin(), host.end(), in.host().begin());
+        const u64 mark = dev.mark();
+        const auto r = plan.run(in, out, RangeBucket{m});
+        ReuseRun run;
+        run.offsets = r.bucket_offsets;
+        run.keys = buffer_to_vector(out);
+        run.total_ms = r.total_ms();
+        for (u64 i = mark; i < dev.records().size(); ++i) {
+          const sim::KernelRecord& k = dev.records()[i];
+          run.kernels.push_back(k.name);
+          run.kernel_ms.insert(run.kernel_ms.end(),
+                               {k.time_ms, k.mem_time_ms, k.issue_time_ms});
+          run.events.push_back(k.events);
+          run.sites.push_back(k.sites);
+        }
+        runs.push_back(std::move(run));
+      }
+      return runs;
+    };
+    const auto serial = sequence(1);
+    ASSERT_EQ(serial.size(), 5u);
+    EXPECT_GT(serial[0].total_ms, 0.0) << to_string(method);
+    EXPECT_EQ(serial, sequence(1)) << to_string(method);
+    EXPECT_EQ(serial, sequence(4)) << to_string(method);
+  }
 }
 
 }  // namespace

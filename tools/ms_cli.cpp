@@ -19,15 +19,22 @@
 // value-by-value with exact matching by default; exit 0 = no drift,
 // 1 = drift found, 2 = unusable input (bad file / schema mismatch).
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <iostream>
@@ -61,6 +68,38 @@ const std::map<std::string, workload::Distribution> kDists = {
     {"identity", workload::Distribution::kIdentity},
     {"sorted", workload::Distribution::kSortedUniform},
 };
+
+/// A malformed flag on the command line; main() prints it and exits 2.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// The one numeric parse every subcommand's flags go through: the whole
+/// value must be a finite number (T floating) or an unsigned integer that
+/// fits T (base 0 also takes a 0x prefix), else a UsageError naming the
+/// flag.
+template <typename T>
+T parse_flag(const std::string& flag, const std::string& value,
+             int base = 10) {
+  const char* s = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_floating_point_v<T>) {
+    const T x = std::strtod(s, &end);
+    if (end != s && *end == '\0' && errno == 0 && std::isfinite(x)) return x;
+  } else {
+    const unsigned long long x = std::strtoull(s, &end, base);
+    if (std::isdigit(static_cast<unsigned char>(s[0])) && *end == '\0' &&
+        errno == 0 && x <= std::numeric_limits<T>::max()) {
+      return static_cast<T>(x);
+    }
+  }
+  throw UsageError("invalid value '" + value + "' for " + flag +
+                   (std::is_floating_point_v<T>
+                        ? " (expected a number)"
+                        : " (expected an unsigned integer)"));
+}
 
 void usage(const char* argv0) {
   std::printf(
@@ -296,11 +335,13 @@ int cmd_diff(int argc, char** argv) {
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const auto next = [&] {
-      check(i + 1 < argc, "missing argument value");
+      if (i + 1 >= argc) {
+        throw UsageError(std::string("missing value for ") + argv[i]);
+      }
       return std::string(argv[++i]);
     };
     if (!std::strcmp(argv[i], "--tolerance")) {
-      opts.tolerance = std::stod(next()) / 100.0;
+      opts.tolerance = parse_flag<f64>("--tolerance", next()) / 100.0;
     } else if (!std::strcmp(argv[i], "--json")) {
       json_path = next();
     } else if (argv[i][0] == '-') {
@@ -662,7 +703,7 @@ int cmd_tail(int argc, char** argv) {
   u64 top_n = 5;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--top") && i + 1 < argc) {
-      top_n = std::stoull(argv[++i]);
+      top_n = parse_flag<u64>("--top", argv[++i]);
     } else if (argv[i][0] != '-' && path == nullptr) {
       path = argv[i];
     } else {
@@ -779,15 +820,15 @@ int cmd_chaos(int argc, char** argv) {
     const std::string arg = argv[i];
     std::optional<std::string> v;
     if (arg == "--requests" && (v = next())) {
-      cfg.requests = static_cast<u32>(std::stoul(*v));
+      cfg.requests = parse_flag<u32>(arg, *v);
     } else if (arg == "--n" && (v = next())) {
-      cfg.log2_n = static_cast<u32>(std::stoul(*v));
+      cfg.log2_n = parse_flag<u32>(arg, *v);
     } else if (arg == "--m" && (v = next())) {
-      cfg.m = static_cast<u32>(std::stoul(*v));
+      cfg.m = parse_flag<u32>(arg, *v);
     } else if (arg == "--seed" && (v = next())) {
-      cfg.seed = std::stoull(*v, nullptr, 0);
+      cfg.seed = parse_flag<u64>(arg, *v, 0);
     } else if (arg == "--chaos-seed" && (v = next())) {
-      cfg.chaos.seed = std::stoull(*v, nullptr, 0);
+      cfg.chaos.seed = parse_flag<u64>(arg, *v, 0);
     } else if (arg == "--device" && (v = next())) {
       cfg.profile = *v;
     } else if (arg == "--spans" && (v = next())) {
@@ -834,13 +875,13 @@ int cmd_serve(int argc, char** argv) {
     const std::string arg = argv[i];
     std::optional<std::string> v;
     if (arg == "--requests" && (v = next())) {
-      requests = std::stoull(*v);
+      requests = parse_flag<u64>(arg, *v);
     } else if (arg == "--batch" && (v = next())) {
-      policy.max_batch = static_cast<u32>(std::stoul(*v));
+      policy.max_batch = parse_flag<u32>(arg, *v);
     } else if (arg == "--linger" && (v = next())) {
-      policy.max_linger_ms = std::stod(*v);
+      policy.max_linger_ms = parse_flag<f64>(arg, *v);
     } else if (arg == "--seed" && (v = next())) {
-      seed = std::stoull(*v, nullptr, 0);
+      seed = parse_flag<u64>(arg, *v, 0);
     } else if (arg == "--device" && (v = next())) {
       device = *v;
     } else {
@@ -929,9 +970,7 @@ int cmd_serve(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   if (argc > 1 && (!std::strcmp(argv[1], "--version") ||
                    !std::strcmp(argv[1], "-V"))) {
     std::printf("ms_cli report schema v%u\n", sim::kReportSchemaVersion);
@@ -970,21 +1009,22 @@ int main(int argc, char** argv) {
   }
   for (int i = argi; i < argc; ++i) {
     const auto next = [&] {
-      check(i + 1 < argc, "missing argument value");
+      if (i + 1 >= argc) {
+        throw UsageError(std::string("missing value for ") + argv[i]);
+      }
       return std::string(argv[++i]);
     };
     if (!std::strcmp(argv[i], "--method")) a.method = next();
-    else if (!std::strcmp(argv[i], "--m")) a.m = std::stoul(next());
-    else if (!std::strcmp(argv[i], "--n")) a.log2_n = std::stoul(next());
+    else if (!std::strcmp(argv[i], "--m")) a.m = parse_flag<u32>("--m", next());
+    else if (!std::strcmp(argv[i], "--n")) a.log2_n = parse_flag<u32>("--n", next());
     else if (!std::strcmp(argv[i], "--dist")) a.dist = next();
     else if (!std::strcmp(argv[i], "--device")) a.device = next();
     else if (!std::strcmp(argv[i], "--kv")) a.kv = true;
-    else if (!std::strcmp(argv[i], "--nw")) a.nw = std::stoul(next());
-    else if (!std::strcmp(argv[i], "--ipt")) a.ipt = std::stoul(next());
-    else if (!std::strcmp(argv[i], "--seed")) a.seed = std::stoull(next());
+    else if (!std::strcmp(argv[i], "--nw")) a.nw = parse_flag<u32>("--nw", next());
+    else if (!std::strcmp(argv[i], "--ipt")) a.ipt = parse_flag<u32>("--ipt", next());
+    else if (!std::strcmp(argv[i], "--seed")) a.seed = parse_flag<u64>("--seed", next());
     else if (!std::strcmp(argv[i], "--host-threads")) {
-      sim::set_default_host_threads(
-          static_cast<u32>(std::stoul(next())));
+      sim::set_default_host_threads(parse_flag<u32>("--host-threads", next()));
     }
     else if (!std::strcmp(argv[i], "--sites")) a.sites = true;
     else if (!std::strcmp(argv[i], "--sanitize")) a.sanitize = next();
@@ -1081,4 +1121,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const UsageError& e) {
+    std::printf("usage error: %s; try --help\n", e.what());
+    return 2;
+  }
 }
