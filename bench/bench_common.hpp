@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "multisplit/multisplit.hpp"
+#include "sim/flags.hpp"
 #include "sim/metrics.hpp"
 #include "sim/telemetry.hpp"
 #include "workload/distributions.hpp"
@@ -56,11 +57,12 @@ struct Options {
   mutable bool telemetry_written = false;
   mutable bool spans_written = false;
 
-  /// Strict parser: unknown flags, missing values, and unknown device
-  /// names are hard errors (exit 2), not silent fallbacks.  Benches that
-  /// support machine-readable output pass `machine_readable = true` to
-  /// enable --json/--trace; elsewhere those flags are rejected with an
-  /// explanation.
+  /// Strict parser: unknown flags, missing values, unknown device names
+  /// and malformed or out-of-range numbers (--n above 31: bucket offsets
+  /// are u32; --trials or --host-threads of 0) are hard errors (exit 2),
+  /// not silent fallbacks.  Benches that support machine-readable output
+  /// pass `machine_readable = true` to enable --json/--trace; elsewhere
+  /// those flags are rejected with an explanation.
   static Options parse(int argc, char** argv, u32 default_log2_n,
                        u32 paper_log2_n, bool machine_readable = false) {
     Options o;
@@ -74,8 +76,17 @@ struct Options {
         }
         return argv[++i];
       };
+      const auto count = [&](const char* flag, u32 lo, u32 hi) -> u32 {
+        const char* v = value(flag);
+        try {
+          return sim::parse_flag_in<u32>(flag, v, lo, hi);
+        } catch (const sim::UsageError& e) {
+          std::fprintf(stderr, "%s: usage error: %s\n", argv[0], e.what());
+          std::exit(2);
+        }
+      };
       if (!std::strcmp(argv[i], "--n")) {
-        o.log2_n = static_cast<u32>(std::atoi(value("--n")));
+        o.log2_n = count("--n", 0, 31);
       } else if (!std::strcmp(argv[i], "--full")) {
         o.full = true;
         o.log2_n = paper_log2_n;
@@ -90,7 +101,7 @@ struct Options {
           std::exit(2);
         }
       } else if (!std::strcmp(argv[i], "--trials")) {
-        o.trials = static_cast<u32>(std::atoi(value("--trials")));
+        o.trials = count("--trials", 1, UINT32_MAX);
       } else if (!std::strcmp(argv[i], "--method")) {
         const char* name = value("--method");
         o.method = split::parse_method(name);
@@ -101,13 +112,7 @@ struct Options {
           std::exit(2);
         }
       } else if (!std::strcmp(argv[i], "--host-threads")) {
-        const int k = std::atoi(value("--host-threads"));
-        if (k < 1) {
-          std::fprintf(stderr, "%s: --host-threads needs a positive count\n",
-                       argv[0]);
-          std::exit(2);
-        }
-        o.host_threads = static_cast<u32>(k);
+        o.host_threads = count("--host-threads", 1, UINT32_MAX);
         sim::set_default_host_threads(o.host_threads);
       } else if (!std::strcmp(argv[i], "--json") && machine_readable) {
         o.json_path = value("--json");

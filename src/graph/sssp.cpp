@@ -102,7 +102,7 @@ SsspResult sssp_delta_stepping(Device& dev, const Csr& g, u32 source,
   SsspResult result;
   u32 threshold = 0;
   f64 reorg_ms = 0.0, expand_ms = 0.0;
-  sim::ProfileRegion total_region(dev, "sssp/total");
+  sim::Stage total(dev, "sssp/total");
 
   split::MultisplitConfig ms_cfg;
   ms_cfg.warps_per_block = cfg.warps_per_block;
@@ -112,7 +112,7 @@ SsspResult sssp_delta_stepping(Device& dev, const Csr& g, u32 source,
     check(result.rounds < 1000000, "sssp: too many rounds (non-termination?)");
 
     // ---- reorganize the pool --------------------------------------
-    sim::ProfileRegion reorg_region(dev, "sssp/reorganize");
+    sim::Stage reorganize(dev, "sssp/reorganize");
     DeviceBuffer<u32> out_k(dev, pool_n), out_v(dev, pool_n);
     const u32 near_limit = threshold + delta;
     u64 near_count = 0;
@@ -150,13 +150,13 @@ SsspResult sssp_delta_stepping(Device& dev, const Csr& g, u32 source,
         break;
       }
     }
-    reorg_ms += reorg_region.end().total_ms;
+    reorg_ms += reorganize.end().total_ms;
 
     // ---- nothing near: advance the threshold ------------------------
     if (near_count == 0) {
-      sim::ProfileRegion adv_region(dev, "sssp/advance_threshold");
+      sim::Stage advance(dev, "sssp/advance_threshold");
       const u32 mn = device_min(dev, out_k, pool_n, min_scratch);
-      expand_ms += adv_region.end().total_ms;
+      expand_ms += advance.end().total_ms;
       check(mn != kInfDist, "sssp: live pool with no finite distance");
       check(mn >= near_limit, "sssp: near candidate missed by bucketing");
       threshold = mn / delta * delta;
@@ -167,7 +167,7 @@ SsspResult sssp_delta_stepping(Device& dev, const Csr& g, u32 source,
     }
 
     // ---- expand the near set ----------------------------------------
-    sim::ProfileRegion expand_region(dev, "sssp/expand");
+    sim::Stage expand(dev, "sssp/expand");
     cursor[0] = 0;
     u64 edges_this_round = 0;
     sim::launch_warps(dev, "sssp_expand", ceil_div(near_count, kWarpSize),
@@ -256,12 +256,12 @@ SsspResult sssp_delta_stepping(Device& dev, const Csr& g, u32 source,
     pool_k = std::move(nk);
     pool_v = std::move(nv);
     pool_n = new_n;
-    expand_ms += expand_region.end().total_ms;
+    expand_ms += expand.end().total_ms;
     result.candidates_processed += near_count;
     result.edges_relaxed += edges_this_round;
   }
 
-  result.total_ms = total_region.end().total_ms;
+  result.total_ms = total.end().total_ms;
   result.reorg_ms = reorg_ms;
   result.expand_ms = expand_ms;
   result.dist.assign(dist.host().begin(), dist.host().end());

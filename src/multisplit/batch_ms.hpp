@@ -43,6 +43,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "multisplit/bucket.hpp"
 #include "multisplit/common.hpp"
 #include "primitives/warp_ops.hpp"
 #include "sim/kernel.hpp"
@@ -91,10 +92,6 @@ struct PackedProblem {
 
 namespace detail {
 
-/// Erased-bucket evaluation charge, matching detail::ErasedBucket
-/// (plan.hpp): the serving layer is type-erased end to end.
-inline constexpr u32 kErasedBucketCost = 2;
-
 /// Clamped composite/bucket evaluation for one lane.  Inactive lanes get
 /// bucket 0; malformed bucket functions (b >= m) are clamped for memory
 /// safety -- the serving validator rejects the problem afterwards.
@@ -131,7 +128,7 @@ inline void batch_ms_sub(sim::Device& dev,
     const auto keys = w.load(keys_in, base, valid);
     // One erased-bucket evaluation plus the composite-class lift
     // (class = slot * 8 + bucket) per round; this warp has one round.
-    w.charge(detail::kErasedBucketCost);
+    w.charge(bucket_charge_cost<BucketFunction>);
     w.charge(1);
     LaneArray<u32> comp{};
     for (u32 lane = 0; lane < kWarpSize; ++lane) {
@@ -184,7 +181,7 @@ inline void batch_ms_warp(sim::Device& dev,
     const u64 rounds = ceil_div(p->n, u64{kWarpSize});
     const auto eval = [&](const LaneArray<u32>& keys,
                           LaneMask mask) {
-      w.charge(detail::kErasedBucketCost);
+      w.charge(bucket_charge_cost<BucketFunction>);
       LaneArray<u32> b{};
       for (u32 lane = 0; lane < kWarpSize; ++lane) {
         if ((mask >> lane) & 1u) b[lane] = detail::safe_bucket(*p, keys[lane]);

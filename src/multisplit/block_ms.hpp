@@ -59,7 +59,7 @@ MultisplitResult block_ms(Device& dev, const DeviceBuffer<u32>& keys_in,
   const sim::SiteId scatter_site = dev.site_id("block_ms/postscan_scatter");
 
   MultisplitResult result;
-  sim::ProfileRegion prescan_region(dev, "block_ms/prescan");
+  sim::Stage prescan(dev, "block_ms/prescan");
 
   // Element index of warp wi's round r lane base within block b.
   const auto strip_base = [&](u64 b, u32 wi, u32 r) {
@@ -148,13 +148,13 @@ MultisplitResult block_ms(Device& dev, const DeviceBuffer<u32>& keys_in,
       });
     }
   });
-  const sim::TimingSummary prescan_sum = prescan_region.end();
+  result.add_stage(&StageTimings::prescan_ms, prescan.end());
 
   // ---------------- scan ----------------
-  sim::ProfileRegion scan_region(dev, "block_ms/scan");
+  sim::Stage scan(dev, "block_ms/scan");
   prim::exclusive_scan<u32>(dev, h, g);
-  const sim::TimingSummary scan_sum = scan_region.end();
-  sim::ProfileRegion postscan_region(dev, "block_ms/postscan");
+  result.add_stage(&StageTimings::scan_ms, scan.end());
+  sim::Stage postscan(dev, "block_ms/postscan");
 
   // ---------------- post-scan ----------------
   sim::launch_blocks(dev, "block_ms_postscan", nblocks, nw, [&](Block& blk) {
@@ -348,17 +348,10 @@ MultisplitResult block_ms(Device& dev, const DeviceBuffer<u32>& keys_in,
     });
   });
 
-  const sim::TimingSummary postscan_sum = postscan_region.end();
-  // Span-only epilogue stage (host-side offsets assembly launches no
-  // kernels, so no ProfileRegion: regions()/trace stage bands unchanged).
-  sim::SpanScope epilogue_span(dev, sim::SpanKind::kStage,
-                               "block_ms/epilogue");
-  result.stages.prescan_ms = prescan_sum.total_ms;
-  result.stages.scan_ms = scan_sum.total_ms;
-  result.stages.postscan_ms = postscan_sum.total_ms;
-  result.summary = prescan_sum;
-  result.summary += scan_sum;
-  result.summary += postscan_sum;
+  result.add_stage(&StageTimings::postscan_ms, postscan.end());
+  // Host-side offsets assembly: launches no kernel, so it draws no trace
+  // band and adds nothing to the result.
+  const sim::Stage epilogue(dev, "block_ms/epilogue");
   offsets_from_scanned(g, m, L, n, result.bucket_offsets);
   return result;
 }

@@ -165,10 +165,17 @@ struct MultisplitResult {
   /// resolved to, or simply the requested method.  kAuto only on a
   /// default-constructed (never-run) result.
   Method method_selected = Method::kAuto;
-  /// Retry/fallback accounting for the resilient entry points; default
-  /// (single clean attempt) for the plain ones.
+  /// Retry/fallback accounting for resilient runs; default (single clean
+  /// attempt) otherwise.
   ResilienceInfo resilience;
   f64 total_ms() const { return stages.total(); }
+  /// Fold one closed stage into the result: its modeled time into the
+  /// Table 4 row `slot` (e.g. &StageTimings::scan_ms), its counters into
+  /// `summary`.
+  void add_stage(f64 StageTimings::*slot, const sim::TimingSummary& t) {
+    stages.*slot += t.total_ms;
+    summary += t;
+  }
 };
 
 /// Type-erased bucket function for callers that don't want templates.

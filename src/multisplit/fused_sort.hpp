@@ -41,7 +41,7 @@ MultisplitResult fused_bucket_sort_ms(Device& dev,
   const u32 passes = static_cast<u32>(ceil_div(bits, rc.bits_per_pass));
 
   MultisplitResult result;
-  sim::ProfileRegion sort_region(dev, "fused_sort/sorting");
+  sim::Stage sorting(dev, "fused_sort/sorting");
 
   DeviceBuffer<u32> tmp_keys(dev, n);
   std::optional<DeviceBuffer<V>> tmp_vals;
@@ -70,8 +70,7 @@ MultisplitResult fused_bucket_sort_ms(Device& dev,
   }
   check(src_k == &keys_out, "fused_bucket_sort: ping-pong ended wrong");
 
-  result.summary = sort_region.end();
-  result.stages.scan_ms = result.summary.total_ms;  // one stage: sort
+  result.add_stage(&StageTimings::scan_ms, sorting.end());  // one stage
 
   // Bucket offsets from the sorted-by-bucket output (host-side).  Output
   // keys are device data and untrusted: with an identity-style bucket

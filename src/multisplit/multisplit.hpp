@@ -61,19 +61,4 @@ MultisplitResult multisplit_pairs(sim::Device& dev,
   return plan.run_pairs(keys_in, vals_in, keys_out, vals_out, bucket_of);
 }
 
-/// Type-erased overloads (see BucketFunction in common.hpp).
-MultisplitResult multisplit_keys(sim::Device& dev,
-                                 const sim::DeviceBuffer<u32>& in,
-                                 sim::DeviceBuffer<u32>& out, u32 m,
-                                 const BucketFunction& bucket_of,
-                                 const MultisplitConfig& cfg);
-
-MultisplitResult multisplit_pairs(sim::Device& dev,
-                                  const sim::DeviceBuffer<u32>& keys_in,
-                                  const sim::DeviceBuffer<u32>& vals_in,
-                                  sim::DeviceBuffer<u32>& keys_out,
-                                  sim::DeviceBuffer<u32>& vals_out, u32 m,
-                                  const BucketFunction& bucket_of,
-                                  const MultisplitConfig& cfg);
-
 }  // namespace ms::split

@@ -324,34 +324,4 @@ void throw_retry_exhausted(Method requested, u32 attempts, f64 spent_ms,
 
 }  // namespace detail
 
-MultisplitResult MultisplitPlan::run(const sim::DeviceBuffer<u32>& in,
-                                     sim::DeviceBuffer<u32>& out,
-                                     const BucketFunction& bucket_of) const {
-  return run(in, out, detail::ErasedBucket{&bucket_of});
-}
-
-MultisplitResult MultisplitPlan::run_pairs(
-    const sim::DeviceBuffer<u32>& keys_in,
-    const sim::DeviceBuffer<u32>& vals_in, sim::DeviceBuffer<u32>& keys_out,
-    sim::DeviceBuffer<u32>& vals_out, const BucketFunction& bucket_of) const {
-  return run_pairs(keys_in, vals_in, keys_out, vals_out,
-                   detail::ErasedBucket{&bucket_of});
-}
-
-MultisplitResult MultisplitPlan::run(const sim::DeviceBuffer<u32>& in,
-                                     sim::DeviceBuffer<u32>& out,
-                                     const BucketFunction& bucket_of,
-                                     const RetryPolicy& rp) const {
-  return run(in, out, detail::ErasedBucket{&bucket_of}, rp);
-}
-
-MultisplitResult MultisplitPlan::run_pairs(
-    const sim::DeviceBuffer<u32>& keys_in,
-    const sim::DeviceBuffer<u32>& vals_in, sim::DeviceBuffer<u32>& keys_out,
-    sim::DeviceBuffer<u32>& vals_out, const BucketFunction& bucket_of,
-    const RetryPolicy& rp) const {
-  return run_pairs(keys_in, vals_in, keys_out, vals_out,
-                   detail::ErasedBucket{&bucket_of}, rp);
-}
-
 }  // namespace ms::split

@@ -313,7 +313,7 @@ inline bool validate_offsets(const MultisplitResult& r, u64 n, u32 m,
 /// by fault_is_retryable; non-retryable ones rethrow immediately.  All
 /// accounting lands in the device's ResilienceStats and (when attached)
 /// the telemetry registry.  With no faults the executor adds zero device
-/// work, so a clean run is bit-identical to the plain entry points.
+/// work, so a clean run is bit-identical to a run without a policy.
 template <typename BucketFn, typename V>
 MultisplitResult run_resilient(Method initial, sim::Device& dev,
                                const sim::DeviceBuffer<u32>& in,
@@ -450,13 +450,6 @@ MultisplitResult run_resilient(Method initial, sim::Device& dev,
   }
 }
 
-/// Adapter giving std::function-based callers an honest evaluation charge.
-struct ErasedBucket {
-  const BucketFunction* fn;
-  u32 operator()(u32 key) const { return (*fn)(key); }
-  static constexpr u32 charge_cost = 2;
-};
-
 }  // namespace detail
 
 /// First-stage launch geometry a plan resolves (reported by the CLI and
@@ -502,81 +495,48 @@ class MultisplitPlan {
   const char* replay_phase() const { return "off"; }
   bool replay_active() const { return false; }
 
-  /// Key-only execution.  `in` must hold exactly n() keys.
+  /// Key-only execution.  `in` must hold exactly n() keys.  With a
+  /// RetryPolicy the run is resilient: retry/fallback/validation per `rp`
+  /// (see detail::run_resilient), throwing only for non-retryable faults
+  /// or an exhausted budget (FaultKind::kRetryExhausted).  A BucketFn
+  /// that declares no charge_cost (a lambda, a BucketFunction) is charged
+  /// 2 instructions per evaluation.
   template <typename BucketFn>
   MultisplitResult run(const sim::DeviceBuffer<u32>& in,
-                       sim::DeviceBuffer<u32>& out, BucketFn bucket_of) const {
+                       sim::DeviceBuffer<u32>& out, BucketFn bucket_of,
+                       std::optional<RetryPolicy> rp = {}) const {
     check_keys(in, out);
+    if (rp) {
+      return detail::run_resilient<BucketFn, u32>(
+          method_, *dev_, in, out, detail::kNoValues, detail::kNoValuesOut,
+          m_, bucket_of, cfg_, *rp);
+    }
     return detail::run_method<BucketFn, u32>(method_, *dev_, in, out,
                                              detail::kNoValues,
                                              detail::kNoValuesOut, m_,
                                              bucket_of, cfg_);
   }
 
-  /// Key-value execution; values travel with their keys.
-  template <typename BucketFn, typename V>
-  MultisplitResult run_pairs(const sim::DeviceBuffer<u32>& keys_in,
-                             const sim::DeviceBuffer<V>& vals_in,
-                             sim::DeviceBuffer<u32>& keys_out,
-                             sim::DeviceBuffer<V>& vals_out,
-                             BucketFn bucket_of) const {
-    static_assert(std::is_same_v<V, u32> || std::is_same_v<V, u64>,
-                  "multisplit values are u32 or u64 (use a pointer otherwise)");
-    check_pairs(keys_in, vals_in.size(), keys_out, vals_out.size());
-    check(&vals_in != &vals_out, "multisplit: in and out must be distinct");
-    return detail::run_method<BucketFn, V>(method_, *dev_, keys_in, keys_out,
-                                           &vals_in, &vals_out, m_, bucket_of,
-                                           cfg_);
-  }
-
-  /// Resilient key-only execution: retry/fallback/validation per `rp`
-  /// (see detail::run_resilient).  Throws only for non-retryable faults or
-  /// an exhausted budget (FaultKind::kRetryExhausted).
-  template <typename BucketFn>
-  MultisplitResult run(const sim::DeviceBuffer<u32>& in,
-                       sim::DeviceBuffer<u32>& out, BucketFn bucket_of,
-                       const RetryPolicy& rp) const {
-    check_keys(in, out);
-    return detail::run_resilient<BucketFn, u32>(
-        method_, *dev_, in, out, detail::kNoValues, detail::kNoValuesOut, m_,
-        bucket_of, cfg_, rp);
-  }
-
-  /// Resilient key-value execution.
+  /// Key-value execution; values travel with their keys.  `rp` as run().
   template <typename BucketFn, typename V>
   MultisplitResult run_pairs(const sim::DeviceBuffer<u32>& keys_in,
                              const sim::DeviceBuffer<V>& vals_in,
                              sim::DeviceBuffer<u32>& keys_out,
                              sim::DeviceBuffer<V>& vals_out, BucketFn bucket_of,
-                             const RetryPolicy& rp) const {
+                             std::optional<RetryPolicy> rp = {}) const {
     static_assert(std::is_same_v<V, u32> || std::is_same_v<V, u64>,
                   "multisplit values are u32 or u64 (use a pointer otherwise)");
     check_pairs(keys_in, vals_in.size(), keys_out, vals_out.size());
     check(&vals_in != &vals_out, "multisplit: in and out must be distinct");
-    return detail::run_resilient<BucketFn, V>(method_, *dev_, keys_in,
-                                              keys_out, &vals_in, &vals_out,
-                                              m_, bucket_of, cfg_, rp);
+    if (rp) {
+      return detail::run_resilient<BucketFn, V>(method_, *dev_, keys_in,
+                                                keys_out, &vals_in, &vals_out,
+                                                m_, bucket_of, cfg_, *rp);
+    }
+    return detail::run_method<BucketFn, V>(method_, *dev_, keys_in, keys_out,
+                                           &vals_in, &vals_out, m_, bucket_of,
+                                           cfg_);
   }
-
-  /// Type-erased overloads (see BucketFunction in common.hpp).
-  MultisplitResult run(const sim::DeviceBuffer<u32>& in,
-                       sim::DeviceBuffer<u32>& out,
-                       const BucketFunction& bucket_of) const;
-  MultisplitResult run_pairs(const sim::DeviceBuffer<u32>& keys_in,
-                             const sim::DeviceBuffer<u32>& vals_in,
-                             sim::DeviceBuffer<u32>& keys_out,
-                             sim::DeviceBuffer<u32>& vals_out,
-                             const BucketFunction& bucket_of) const;
-  MultisplitResult run(const sim::DeviceBuffer<u32>& in,
-                       sim::DeviceBuffer<u32>& out,
-                       const BucketFunction& bucket_of,
-                       const RetryPolicy& rp) const;
-  MultisplitResult run_pairs(const sim::DeviceBuffer<u32>& keys_in,
-                             const sim::DeviceBuffer<u32>& vals_in,
-                             sim::DeviceBuffer<u32>& keys_out,
-                             sim::DeviceBuffer<u32>& vals_out,
-                             const BucketFunction& bucket_of,
-                             const RetryPolicy& rp) const;
 
  private:
   void check_keys(const sim::DeviceBuffer<u32>& in,

@@ -55,7 +55,7 @@ MultisplitResult randomized_insertion_ms(Device& dev,
   MultisplitResult result;
   const sim::SiteId flush_site = dev.site_id("randomized/flush_scatter");
 
-  sim::ProfileRegion hist_region(dev, "randomized/histogram");
+  sim::Stage histogram(dev, "randomized/histogram");
   // ---- stage 1: global histogram to size the relaxed buffers ----------
   DeviceBuffer<u32> hist(dev, m);
   prim::histogram_block_local(dev, keys_in, hist, m, bucket_of,
@@ -94,9 +94,9 @@ MultisplitResult randomized_insertion_ms(Device& dev,
   sim::device_fill<u32>(dev, staged_keys, 0);
   sim::device_fill<u32>(dev, staged_flags, 0);
   sim::device_fill<u32>(dev, cursor, 0);
-  const sim::TimingSummary hist_sum = hist_region.end();
+  result.add_stage(&StageTimings::prescan_ms, histogram.end());
 
-  sim::ProfileRegion insert_region(dev, "randomized/insertion");
+  sim::Stage insertion(dev, "randomized/insertion");
   // ---- stage 2: dart throwing into shared buffers, flush on pressure ---
   sim::launch_blocks(dev, "randomized_insertion", nblocks, nw, [&](Block& blk) {
     auto sm_keys = blk.shared<u32>(cap_total, "randomized/sm_keys");
@@ -217,21 +217,14 @@ MultisplitResult randomized_insertion_ms(Device& dev,
       for (u32 d = w.warp_in_block(); d < m; d += nw) flush_bucket(w, d);
     });
   });
-  const sim::TimingSummary insert_sum = insert_region.end();
+  result.add_stage(&StageTimings::scan_ms, insertion.end());
 
   // ---- stage 3: compact the empty slots out ----------------------------
-  sim::ProfileRegion compact_region(dev, "randomized/compaction");
+  sim::Stage compaction(dev, "randomized/compaction");
   const u64 kept =
       prim::compact_by_flags<u32>(dev, staged_keys, staged_flags, keys_out);
   check(kept == n, "randomized_insertion: lost elements");
-  const sim::TimingSummary compact_sum = compact_region.end();
-
-  result.stages.prescan_ms = hist_sum.total_ms;
-  result.stages.scan_ms = insert_sum.total_ms;
-  result.stages.postscan_ms = compact_sum.total_ms;
-  result.summary = hist_sum;
-  result.summary += insert_sum;
-  result.summary += compact_sum;
+  result.add_stage(&StageTimings::postscan_ms, compaction.end());
 
   result.bucket_offsets.assign(m + 1, 0);
   for (u32 d = 0; d < m; ++d)

@@ -37,7 +37,7 @@ MultisplitResult reduced_bit_sort_ms(Device& dev,
   MultisplitResult result;
   DeviceBuffer<u32> labels(dev, n);
 
-  sim::ProfileRegion label_region(dev, "reduced_bit/labeling");
+  sim::Stage labeling(dev, "reduced_bit/labeling");
   // ---- labeling: one pass producing the label vector ------------------
   sim::launch_warps(dev, "rbs_labeling", ceil_div(n, kWarpSize),
                     [&](Warp& w, u64 wid) {
@@ -52,14 +52,10 @@ MultisplitResult reduced_bit_sort_ms(Device& dev,
   if (vals_in == nullptr) {
     // Key-only: the keys ride along as the sort's values.
     sim::device_copy(dev, keys_out, keys_in);
-    const sim::TimingSummary label_sum = label_region.end();
-    sim::ProfileRegion sort_region(dev, "reduced_bit/sorting");
+    result.add_stage(&StageTimings::prescan_ms, labeling.end());
+    sim::Stage sorting(dev, "reduced_bit/sorting");
     prim::sort_pairs<u32>(dev, labels, keys_out, 0, bits);
-    const sim::TimingSummary sort_sum = sort_region.end();
-    result.stages.prescan_ms = label_sum.total_ms;
-    result.stages.scan_ms = sort_sum.total_ms;
-    result.summary = label_sum;
-    result.summary += sort_sum;
+    result.add_stage(&StageTimings::scan_ms, sorting.end());
   } else if constexpr (sizeof(V) == 8) {
     // 64-bit payloads cannot be packed next to the key; fall back to the
     // (label, index) sort + permutation variant the paper describes (and
@@ -74,11 +70,11 @@ MultisplitResult reduced_bit_sort_ms(Device& dev,
         idx[lane] = static_cast<u32>(base + lane);
       w.store(index, base, idx, mask);
     });
-    const sim::TimingSummary label_sum = label_region.end();
-    sim::ProfileRegion sort_region(dev, "reduced_bit/sorting");
+    result.add_stage(&StageTimings::prescan_ms, labeling.end());
+    sim::Stage sorting(dev, "reduced_bit/sorting");
     prim::sort_pairs<u32>(dev, labels, index, 0, bits);
-    const sim::TimingSummary sort_sum = sort_region.end();
-    sim::ProfileRegion permute_region(dev, "reduced_bit/permuting");
+    result.add_stage(&StageTimings::scan_ms, sorting.end());
+    sim::Stage permuting(dev, "reduced_bit/permuting");
     sim::launch_warps(dev, "rbs_permute", ceil_div(n, kWarpSize),
                       [&](Warp& w, u64 wid) {
       const u64 base = wid * kWarpSize;
@@ -89,13 +85,7 @@ MultisplitResult reduced_bit_sort_ms(Device& dev,
       w.store(keys_out, base, w.gather(keys_in, idx, mask), mask);
       w.store(*vals_out, base, w.gather(*vals_in, idx, mask), mask);
     });
-    const sim::TimingSummary permute_sum = permute_region.end();
-    result.stages.prescan_ms = label_sum.total_ms;
-    result.stages.scan_ms = sort_sum.total_ms;
-    result.stages.postscan_ms = permute_sum.total_ms;
-    result.summary = label_sum;
-    result.summary += sort_sum;
-    result.summary += permute_sum;
+    result.add_stage(&StageTimings::postscan_ms, permuting.end());
   } else {
     // Key-value: pack (key, value) into u64, sort, unpack.
     DeviceBuffer<u64> packed(dev, n);
@@ -111,11 +101,11 @@ MultisplitResult reduced_bit_sort_ms(Device& dev,
       });
       w.store(packed, base, pk, mask);
     });
-    const sim::TimingSummary label_sum = label_region.end();
-    sim::ProfileRegion sort_region(dev, "reduced_bit/sorting");
+    result.add_stage(&StageTimings::prescan_ms, labeling.end());
+    sim::Stage sorting(dev, "reduced_bit/sorting");
     prim::sort_pairs<u64>(dev, labels, packed, 0, bits);
-    const sim::TimingSummary sort_sum = sort_region.end();
-    sim::ProfileRegion unpack_region(dev, "reduced_bit/unpacking");
+    result.add_stage(&StageTimings::scan_ms, sorting.end());
+    sim::Stage unpacking(dev, "reduced_bit/unpacking");
     sim::launch_warps(dev, "rbs_unpack", ceil_div(n, kWarpSize),
                       [&](Warp& w, u64 wid) {
       const u64 base = wid * kWarpSize;
@@ -127,19 +117,11 @@ MultisplitResult reduced_bit_sort_ms(Device& dev,
       w.store(keys_out, base, keys, mask);
       w.store(*vals_out, base, vals, mask);
     });
-    const sim::TimingSummary unpack_sum = unpack_region.end();
-    result.stages.prescan_ms = label_sum.total_ms;
-    result.stages.scan_ms = sort_sum.total_ms;
-    result.stages.postscan_ms = unpack_sum.total_ms;
-    result.summary = label_sum;
-    result.summary += sort_sum;
-    result.summary += unpack_sum;
+    result.add_stage(&StageTimings::postscan_ms, unpacking.end());
   }
 
-  // Span-only epilogue stage over the host-side offsets derivation below
-  // (no kernels, so no ProfileRegion / trace stage band is added).
-  sim::SpanScope epilogue_span(dev, sim::SpanKind::kStage,
-                               "reduced_bit/epilogue");
+  // Host-side epilogue (launches no kernel, so it draws no trace band).
+  const sim::Stage epilogue(dev, "reduced_bit/epilogue");
   // Bucket offsets from the sorted label vector (host-side, uncharged).
   // Labels are device data and untrusted: under fault injection a flipped
   // bit can push one outside [0, m), which must produce wrong offsets (the

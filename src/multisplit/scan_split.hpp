@@ -20,18 +20,18 @@ namespace ms::split::detail {
 
 /// One stable binary split round: elements with bit_of(key) == 0 first.
 /// Stage kernels are named after the paper's Table 4 rows (labeling /
-/// scan / splitting).
+/// scan / splitting); each round's stages add into `result`.
 template <typename BitFn, typename V = u32>
 void split_round(Device& dev, const DeviceBuffer<u32>& keys_in,
                  DeviceBuffer<u32>& keys_out, const DeviceBuffer<V>* vals_in,
                  DeviceBuffer<V>* vals_out, BitFn bit_of,
-                 StageTimings& stages, sim::TimingSummary& summary) {
+                 MultisplitResult& result) {
   const u64 n = keys_in.size();
   DeviceBuffer<u32> flags(dev, n);
   DeviceBuffer<u32> scanned(dev, n);
   const sim::SiteId scatter_site = dev.site_id("scan_split/scatter");
 
-  sim::ProfileRegion label_region(dev, "scan_split/labeling");
+  sim::Stage labeling(dev, "scan_split/labeling");
   sim::launch_warps(dev, "split_labeling", ceil_div(n, kWarpSize),
                     [&](Warp& w, u64 wid) {
     const u64 base = wid * kWarpSize;
@@ -41,16 +41,16 @@ void split_round(Device& dev, const DeviceBuffer<u32>& keys_in,
     const auto f = keys.map([&](u32 k) { return bit_of(k); });
     w.store(flags, base, f, mask);
   });
-  const sim::TimingSummary label_sum = label_region.end();
+  result.add_stage(&StageTimings::prescan_ms, labeling.end());
 
-  sim::ProfileRegion scan_region(dev, "scan_split/scan");
+  sim::Stage scan(dev, "scan_split/scan");
   prim::exclusive_scan<u32>(dev, flags, scanned);
-  const sim::TimingSummary scan_sum = scan_region.end();
+  result.add_stage(&StageTimings::scan_ms, scan.end());
 
   const u64 total1 = scanned[n - 1] + flags[n - 1];
   const u64 total0 = n - total1;
 
-  sim::ProfileRegion scatter_region(dev, "scan_split/splitting");
+  sim::Stage splitting(dev, "scan_split/splitting");
   sim::launch_warps(dev, "split_scatter", ceil_div(n, kWarpSize),
                     [&](Warp& w, u64 wid) {
     const u64 base = wid * kWarpSize;
@@ -74,14 +74,7 @@ void split_round(Device& dev, const DeviceBuffer<u32>& keys_in,
       w.scatter(*vals_out, pos, vals, mask);
     }
   });
-  const sim::TimingSummary scatter_sum = scatter_region.end();
-
-  stages.prescan_ms += label_sum.total_ms;
-  stages.scan_ms += scan_sum.total_ms;
-  stages.postscan_ms += scatter_sum.total_ms;
-  summary += label_sum;
-  summary += scan_sum;
-  summary += scatter_sum;
+  result.add_stage(&StageTimings::postscan_ms, splitting.end());
 }
 
 /// Recursive scan-based split: ceil(log2 m) stable binary-split rounds over
@@ -114,16 +107,13 @@ MultisplitResult scan_split_ms(Device& dev, const DeviceBuffer<u32>& keys_in,
         vals_in != nullptr ? (to_out ? vals_out : &*tmp_vals) : nullptr;
     split_round(
         dev, *src_k, *dst_k, src_v, dst_v,
-        [&](u32 k) { return (bucket_of(k) >> r) & 1u; }, result.stages,
-        result.summary);
+        [&](u32 k) { return (bucket_of(k) >> r) & 1u; }, result);
     src_k = dst_k;
     src_v = dst_v;
   }
   check(src_k == &keys_out, "scan_split: ping-pong ended in wrong buffer");
-  // Span-only epilogue stage over the host-side offsets derivation below
-  // (no kernels, so no ProfileRegion / trace stage band is added).
-  sim::SpanScope epilogue_span(dev, sim::SpanKind::kStage,
-                               "scan_split/epilogue");
+  // Host-side epilogue (launches no kernel, so it draws no trace band).
+  const sim::Stage epilogue(dev, "scan_split/epilogue");
   // Bucket offsets: derived host-side from the (already split) output;
   // uncharged verification convenience, as the split rounds themselves
   // never materialize a histogram.

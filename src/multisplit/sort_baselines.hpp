@@ -38,11 +38,10 @@ MultisplitResult radix_sort_multisplit_keys(sim::Device& dev,
                                             BucketFn bucket_of,
                                             u32 sort_bits = 32) {
   MultisplitResult r;
-  sim::ProfileRegion sort_region(dev, "radix_sort/sorting");
+  sim::Stage sorting(dev, "radix_sort/sorting");
   sim::device_copy(dev, out, in);
   prim::sort_keys(dev, out, 0, sort_bits);
-  r.summary = sort_region.end();
-  r.stages.scan_ms = r.summary.total_ms;
+  r.add_stage(&StageTimings::scan_ms, sorting.end());
   detail::offsets_from_sorted_range(out, m, bucket_of, r.bucket_offsets);
   return r;
 }
@@ -55,12 +54,11 @@ MultisplitResult radix_sort_multisplit_pairs(
     sim::DeviceBuffer<u32>& vout, u32 m, BucketFn bucket_of,
     u32 sort_bits = 32) {
   MultisplitResult r;
-  sim::ProfileRegion sort_region(dev, "radix_sort/sorting");
+  sim::Stage sorting(dev, "radix_sort/sorting");
   sim::device_copy(dev, kout, kin);
   sim::device_copy(dev, vout, vin);
   prim::sort_pairs<u32>(dev, kout, vout, 0, sort_bits);
-  r.summary = sort_region.end();
-  r.stages.scan_ms = r.summary.total_ms;
+  r.add_stage(&StageTimings::scan_ms, sorting.end());
   detail::offsets_from_sorted_range(kout, m, bucket_of, r.bucket_offsets);
   return r;
 }

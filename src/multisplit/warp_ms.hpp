@@ -89,7 +89,7 @@ MultisplitResult warp_granularity_ms(Device& dev,
       dev.site_id(std::string(tag) + "/postscan_scatter");
 
   MultisplitResult result;
-  sim::ProfileRegion prescan_region(dev, std::string(tag) + "/prescan");
+  sim::Stage prescan(dev, std::string(tag) + "/prescan");
 
   // ---------------- pre-scan ----------------
   // Per-warp histograms are staged in shared memory and written to H one
@@ -154,13 +154,13 @@ MultisplitResult warp_granularity_ms(Device& dev,
       }
     });
   });
-  const sim::TimingSummary prescan_sum = prescan_region.end();
+  result.add_stage(&StageTimings::prescan_ms, prescan.end());
 
   // ---------------- scan ----------------
-  sim::ProfileRegion scan_region(dev, std::string(tag) + "/scan");
+  sim::Stage scan(dev, std::string(tag) + "/scan");
   prim::exclusive_scan<u32>(dev, h, g);
-  const sim::TimingSummary scan_sum = scan_region.end();
-  sim::ProfileRegion postscan_region(dev, std::string(tag) + "/postscan");
+  result.add_stage(&StageTimings::scan_ms, scan.end());
+  sim::Stage postscan(dev, std::string(tag) + "/postscan");
 
   // ---------------- post-scan ----------------
   sim::launch_blocks(dev, kReorder ? "warp_ms_postscan" : "direct_ms_postscan",
@@ -368,17 +368,10 @@ MultisplitResult warp_granularity_ms(Device& dev,
     });
   });
 
-  const sim::TimingSummary postscan_sum = postscan_region.end();
-  // Span-only epilogue stage (host-side offsets assembly launches no
-  // kernels, so no ProfileRegion: regions()/trace stage bands unchanged).
-  sim::SpanScope epilogue_span(dev, sim::SpanKind::kStage,
-                               std::string(tag) + "/epilogue");
-  result.stages.prescan_ms = prescan_sum.total_ms;
-  result.stages.scan_ms = scan_sum.total_ms;
-  result.stages.postscan_ms = postscan_sum.total_ms;
-  result.summary = prescan_sum;
-  result.summary += scan_sum;
-  result.summary += postscan_sum;
+  result.add_stage(&StageTimings::postscan_ms, postscan.end());
+  // Host-side offsets assembly: launches no kernel, so it draws no trace
+  // band and adds nothing to the result.
+  const sim::Stage epilogue(dev, std::string(tag) + "/epilogue");
   offsets_from_scanned(g, m, L, n, result.bucket_offsets);
   return result;
 }

@@ -12,28 +12,20 @@ ScopedSite::ScopedSite(Device& dev, std::string_view label)
 
 ScopedSite::~ScopedSite() { dev_->set_site(prev_); }
 
-ProfileRegion::ProfileRegion(Device& dev, std::string name)
-    : dev_(&dev), name_(std::move(name)), begin_(dev.mark()) {
-  // Stage span: only inside a traced request, so free-standing regions
-  // (tests, SSSP) add no span state.
-  if (dev.spans() != nullptr && dev.spans()->in_request()) {
-    span_id_ = dev.open_span(SpanKind::kStage, name_);
-  }
-}
+Stage::Stage(Device& dev, std::string name)
+    : dev_(&dev),
+      name_(std::move(name)),
+      begin_(dev.mark()),
+      span_(dev, SpanKind::kStage, name_) {}
 
-ProfileRegion::~ProfileRegion() {
-  if (!ended_) end();
-}
+Stage::~Stage() { end(); }
 
-TimingSummary ProfileRegion::end() {
+TimingSummary Stage::end() {
   if (ended_) return final_;
   ended_ = true;
   final_ = dev_->summary_since(begin_);
   dev_->add_region(RegionRecord{name_, begin_, dev_->mark()});
-  if (span_id_ != 0) {
-    dev_->close_span(span_id_);
-    span_id_ = 0;
-  }
+  span_.end();
   return final_;
 }
 

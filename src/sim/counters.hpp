@@ -11,15 +11,17 @@
 // totals exactly (anything outside an explicit scope lands on the reserved
 // site 0, "other"; end-of-kernel L2 writeback lands on "sim/l2_writeback").
 //
-// A *ProfileRegion* is the scoped replacement for the manual
-// `mark()`/`summary_since()` idiom: it brackets a sequence of kernel
-// launches, returns their TimingSummary from end(), and records the span on
-// the device so trace export (trace.hpp) can draw stage bands.
+// A *Stage* is the one stage-boundary hook: it brackets one algorithm
+// stage (a sequence of kernel launches, or host-side work that launches
+// none), returns the stage's TimingSummary from end(), records the region
+// on the device so trace export (trace.hpp) can draw stage bands, and
+// opens the stage's span inside a traced request (span.hpp).
 #pragma once
 
 #include <string>
 
 #include "sim/events.hpp"
+#include "sim/span.hpp"
 #include "sim/types.hpp"
 
 namespace ms::sim {
@@ -36,7 +38,7 @@ struct SiteStats {
   KernelEvents events;
 };
 
-/// A closed ProfileRegion: [first_kernel, end_kernel) indexes into
+/// A closed Stage: [first_kernel, end_kernel) indexes into
 /// Device::records().
 struct RegionRecord {
   std::string name;
@@ -62,29 +64,30 @@ class ScopedSite {
   SiteId prev_;
 };
 
-/// RAII stage timer over whole kernel launches.  end() closes the region,
-/// records it on the device (for the trace's stage track) and returns the
-/// TimingSummary of every kernel launched inside it.  A region destroyed
-/// without end() is closed and recorded with whatever ran so far.
-class ProfileRegion {
+/// RAII algorithm stage (paper Table 4's pre-scan / scan / post-scan or
+/// labeling / sorting / packing rows, plus host-side epilogues).  end()
+/// closes the stage, records its region on the device (the trace's stage
+/// band; a stage that launched no kernel draws none), closes its kStage
+/// span, and returns the TimingSummary of every kernel launched inside
+/// it.  A stage destroyed without end() is closed with whatever ran so
+/// far, so a stage aborted by a fault still records its region and span.
+class Stage {
  public:
-  ProfileRegion(Device& dev, std::string name);
-  ~ProfileRegion();
+  Stage(Device& dev, std::string name);
+  ~Stage();
 
-  ProfileRegion(const ProfileRegion&) = delete;
-  ProfileRegion& operator=(const ProfileRegion&) = delete;
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
 
-  /// Close the region and return its summary (idempotent: later calls
+  /// Close the stage and return its summary (idempotent: later calls
   /// return the summary captured by the first).
   TimingSummary end();
-
-  const std::string& name() const { return name_; }
 
  private:
   Device* dev_;
   std::string name_;
   u64 begin_;
-  u64 span_id_ = 0;  ///< stage span, when the device traces a request
+  SpanScope span_;  ///< active only inside a traced request
   bool ended_ = false;
   TimingSummary final_;
 };

@@ -166,8 +166,8 @@ class Device {
   void clear_records() { records_.clear(); }
 
   /// Position marker for timing sections: summarize everything executed
-  /// after a mark() with summary_since().  (ProfileRegion in counters.hpp
-  /// is the scoped front-end; this stays as the underlying primitive.)
+  /// after a mark() with summary_since().  (sim::Stage in counters.hpp is
+  /// the scoped front-end; this stays as the underlying primitive.)
   u64 mark() const { return records_.size(); }
   TimingSummary summary_since(u64 mark) const;
   TimingSummary summary_all() const { return summary_since(0); }

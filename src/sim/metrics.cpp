@@ -548,7 +548,7 @@ void write_metrics_json(JsonWriter& w, const MetricsReport& rep) {
   w.end_object();
 
   // Fault-injection and resilient-executor accounting (schema v6).  All
-  // zeros when chaos is off and the plain entry points are used, so the
+  // zeros when chaos is off and no run has a retry policy, so the
   // tolerance-0 gates compare the block exactly.
   w.key("resilience");
   w.begin_object();

@@ -4,9 +4,9 @@
 // Every resilient or plain plan execution opens a *request* span stamped
 // with a deterministic counter-based trace id; under it the resilient
 // executor opens one *attempt* span per try (retry or fallback-ladder
-// hop), the method implementations open *stage* spans (the same
-// histogram/scan/scatter bands ProfileRegion records, plus a span-only
-// epilogue), and the device opens one *launch* span per kernel.  Spans
+// hop), the method implementations open *stage* spans (one per
+// sim::Stage, the same scope that records the trace's stage bands), and
+// the device opens one *launch* span per kernel.  Spans
 // carry modeled begin/end timestamps off the device's lifetime clock,
 // the kernel-launch overhead charged, virtual retry backoff, and the
 // deltas of a few key lifetime counters (launches, L2 read segments,
@@ -15,7 +15,7 @@
 // FaultContext.
 //
 // Determinism: every span open/close point sits on the main thread
-// (begin_kernel/end_kernel, run_method, run_resilient, ProfileRegion),
+// (begin_kernel/end_kernel, run_method, run_resilient, Stage),
 // and the only worker-thread producers -- kernel-body faults under the
 // parallel block scheduler -- park their events in the per-item
 // CounterShard and are merged in ascending item order, exactly like the
@@ -48,7 +48,7 @@ class Device;
 enum class SpanKind : u8 {
   kRequest = 0,  ///< one MultisplitPlan::run / run_pairs / resilient run
   kAttempt,      ///< one try of the resilient executor (retry / fallback)
-  kStage,        ///< one algorithm stage (ProfileRegion band or epilogue)
+  kStage,        ///< one algorithm stage (sim::Stage, counters.hpp)
   kLaunch,       ///< one kernel launch
 };
 

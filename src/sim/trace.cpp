@@ -76,7 +76,7 @@ void write_chrome_trace(Device& dev, std::ostream& os) {
   metadata_event(w, "thread_name", kTidMem, "memory pipe");
   metadata_event(w, "thread_name", kTidIssue, "issue pipe");
 
-  // Stage bands from recorded ProfileRegions.
+  // Stage bands from recorded Stages (host-only stages draw none).
   for (const RegionRecord& reg : dev.regions()) {
     if (reg.first_kernel >= reg.end_kernel ||
         reg.end_kernel > records.size()) {

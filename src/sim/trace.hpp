@@ -4,7 +4,7 @@
 // in the Trace Event Format, loadable in chrome://tracing or Perfetto
 // (ui.perfetto.dev -> "Open trace file").  Layout:
 //
-//   tid 0 "stages"      one slice per ProfileRegion (prescan/scan/postscan)
+//   tid 0 "stages"      one slice per sim::Stage that launched a kernel
 //   tid 1 "kernels"     one complete ("ph":"X") slice per kernel, with the
 //                       event counters and derived metrics in args
 //   tid 2 "memory pipe" the DRAM-throughput component of each kernel

@@ -1,7 +1,9 @@
 // Per-access-site attribution: the delta-snapshot bookkeeping must
 // partition every kernel's counters exactly, ScopedSite must nest, and
-// ProfileRegion must agree with the underlying mark()/summary_since().
+// Stage must agree with the underlying mark()/summary_since().
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "multisplit/multisplit.hpp"
 #include "workload/distributions.hpp"
@@ -145,23 +147,23 @@ TEST(ScopedSite, NestsAndRestores) {
   EXPECT_EQ(dev.site_id("outer"), outer);
 }
 
-TEST(ProfileRegion, MatchesSummarySinceAndIsIdempotent) {
+TEST(Stage, MatchesSummarySinceAndIsIdempotent) {
   Device dev;
   DeviceBuffer<u32> buf(dev, 2048);
   device_fill<u32>(dev, buf, 1);  // outside the region
 
   const u64 before = dev.mark();
-  ProfileRegion region(dev, "test/region");
+  Stage stage(dev, "test/region");
   device_fill<u32>(dev, buf, 2);
   device_fill<u32>(dev, buf, 3);
-  const TimingSummary got = region.end();
+  const TimingSummary got = stage.end();
   const TimingSummary want = dev.summary_since(before);
   EXPECT_EQ(got.kernels, 2u);
   EXPECT_DOUBLE_EQ(got.total_ms, want.total_ms);
   EXPECT_EQ(got.events, want.events);
 
   device_fill<u32>(dev, buf, 4);  // after end(): must not extend the region
-  const TimingSummary again = region.end();
+  const TimingSummary again = stage.end();
   EXPECT_EQ(again.kernels, got.kernels);
   EXPECT_DOUBLE_EQ(again.total_ms, got.total_ms);
 
@@ -171,7 +173,7 @@ TEST(ProfileRegion, MatchesSummarySinceAndIsIdempotent) {
   EXPECT_EQ(dev.regions()[0].end_kernel, before + 2);
 }
 
-TEST(ProfileRegion, MultisplitStagesSumToKernelTotal) {
+TEST(Stage, MultisplitStagesSumToKernelTotal) {
   workload::WorkloadConfig wc;
   wc.m = 16;
   const u64 n = u64{1} << 12;
@@ -259,22 +261,53 @@ TEST(SiteAttribution, FaultPropagatedToCallerStillRestoresSite) {
   expect_exact_partition(dev);
 }
 
-TEST(ProfileRegion, ClosesAcrossFaultedLaunch) {
+TEST(Stage, ClosesAcrossFaultedLaunch) {
   Device dev;
   SanitizerConfig cfg;
   cfg.memcheck = true;  // reporting mode
   dev.sanitizer().configure(cfg);
-  ProfileRegion region(dev, "test/faulted_stage");
+  Stage stage(dev, "test/faulted_stage");
   inject::oob_scatter(dev);  // aborted launch, swallowed by the sanitizer
   DeviceBuffer<u32> buf(dev, 1024);
   device_fill<u32>(dev, buf, 1);
-  const TimingSummary s = region.end();
-  // The faulted launch still closed its record, so the region spans both.
+  const TimingSummary s = stage.end();
+  // The faulted launch still closed its record, so the stage spans both.
   EXPECT_EQ(s.kernels, 2u);
   ASSERT_EQ(dev.regions().size(), 1u);
   EXPECT_EQ(dev.regions()[0].first_kernel, 0u);
   EXPECT_EQ(dev.regions()[0].end_kernel, 2u);
   expect_exact_partition(dev);
+}
+
+TEST(Stage, HostOnlyStageInTracedRequestOpensOneSpanAndNoBand) {
+  Device dev;
+  SpanRecorder& rec = dev.enable_spans();
+  DeviceBuffer<u32> buf(dev, 1024);
+  {
+    SpanScope request(dev, SpanKind::kRequest, "test");
+    device_fill<u32>(dev, buf, 1);
+    Stage epilogue(dev, "test/epilogue");  // host-side work only
+    const TimingSummary s = epilogue.end();
+    EXPECT_EQ(s.kernels, 0u);
+    EXPECT_EQ(s.total_ms, 0.0);
+  }
+  // request, the fill's launch, and exactly one closed stage span.
+  u64 stages = 0;
+  for (const SpanRecord& sp : rec.spans()) {
+    EXPECT_TRUE(sp.closed) << sp.name;
+    if (sp.kind != SpanKind::kStage) continue;
+    ++stages;
+    EXPECT_EQ(sp.name, "test/epilogue");
+    EXPECT_EQ(sp.parent_id, 1u);
+    EXPECT_EQ(sp.begin_ms, sp.end_ms);
+  }
+  EXPECT_EQ(stages, 1u);
+  // The region is recorded, but empty, so the trace draws no stage band.
+  ASSERT_EQ(dev.regions().size(), 1u);
+  EXPECT_EQ(dev.regions()[0].first_kernel, dev.regions()[0].end_kernel);
+  std::ostringstream trace;
+  write_chrome_trace(dev, trace);
+  EXPECT_EQ(trace.str().find("\"cat\":\"stage\""), std::string::npos);
 }
 
 TEST(SiteAttribution, ResetStatsZeroesCountersKeepsLabels) {

@@ -122,20 +122,88 @@ TEST(MultisplitScanSplit, RejectsMoreThanTwoBuckets) {
                std::logic_error);
 }
 
-TEST(MultisplitApi, TypeErasedBucketFunction) {
-  const u64 n = 10000;
-  workload::WorkloadConfig wc;
-  const auto host = workload::generate_keys(n, wc);
+// A BucketFunction (std::function) declares no charge_cost, so it is
+// charged bucket_charge_cost's default of 2 per evaluation -- what
+// RangeBucket declares.  Wrapping RangeBucket{m} in one must change no
+// output, offset, stage time or counter, through the plan, the free
+// function and the resilient run alike.
+enum class Entry { kPlan, kFree, kResilient };
+
+struct SplitRun {
+  std::vector<u32> keys, vals;
+  split::MultisplitResult r;
+};
+
+template <typename BucketFn>
+SplitRun run_entry(Method method, Entry entry, bool pairs,
+                   const std::vector<u32>& host, u32 m, BucketFn fn) {
+  const u64 n = host.size();
   sim::Device dev;
   sim::DeviceBuffer<u32> in(dev, std::span<const u32>(host)), out(dev, n);
+  const auto vhost = workload::identity_values(n);
+  sim::DeviceBuffer<u32> vin(dev, std::span<const u32>(vhost)), vout(dev, n);
   MultisplitConfig cfg;
-  cfg.method = Method::kBlockLevel;
-  const split::BucketFunction fn = [](u32 k) { return k % 2 == 0 ? 0u : 1u; };
-  const auto r = split::multisplit_keys(dev, in, out, 2, fn, cfg);
-  expect_valid_multisplit(host, buffer_to_vector(out), r.bucket_offsets, 2,
-                          [](u32 k) { return k % 2 == 0 ? 0u : 1u; }, true);
-  (void)r;
+  cfg.method = method;
+  SplitRun run;
+  if (entry == Entry::kFree) {
+    run.r = pairs ? split::multisplit_pairs(dev, in, vin, out, vout, m, fn, cfg)
+                  : split::multisplit_keys(dev, in, out, m, fn, cfg);
+  } else {
+    const split::MultisplitPlan plan(dev, n, m, cfg, pairs ? 4 : 0);
+    std::optional<split::RetryPolicy> rp;
+    if (entry == Entry::kResilient) rp.emplace();
+    run.r = pairs ? plan.run_pairs(in, vin, out, vout, fn, rp)
+                  : plan.run(in, out, fn, rp);
+  }
+  run.keys = buffer_to_vector(out);
+  if (pairs) run.vals = buffer_to_vector(vout);
+  return run;
 }
+
+class BucketFunctionBitIdentity : public ::testing::TestWithParam<Method> {};
+
+TEST_P(BucketFunctionBitIdentity, MatchesDeclaredCostFunctor) {
+  const Method method = GetParam();
+  const u32 m = method == Method::kScanSplit ? 2 : 8;
+  workload::WorkloadConfig wc;
+  wc.m = m;
+  const auto host = workload::generate_keys(5000, wc);
+  const split::BucketFunction erased = RangeBucket{m};
+  for (const bool pairs : {false, true}) {
+    if (pairs && !split::method_traits(method).supports_pairs) continue;
+    for (const Entry entry : {Entry::kPlan, Entry::kFree, Entry::kResilient}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "pairs=" << pairs << " entry=" << static_cast<int>(entry));
+      const SplitRun want =
+          run_entry(method, entry, pairs, host, m, RangeBucket{m});
+      const SplitRun got = run_entry(method, entry, pairs, host, m, erased);
+      expect_valid_multisplit(host, got.keys, got.r.bucket_offsets, m,
+                              RangeBucket{m}, is_stable(method));
+      EXPECT_EQ(got.keys, want.keys);
+      EXPECT_EQ(got.vals, want.vals);
+      EXPECT_EQ(got.r.bucket_offsets, want.r.bucket_offsets);
+      EXPECT_EQ(got.r.stages.prescan_ms, want.r.stages.prescan_ms);
+      EXPECT_EQ(got.r.stages.scan_ms, want.r.stages.scan_ms);
+      EXPECT_EQ(got.r.stages.postscan_ms, want.r.stages.postscan_ms);
+      EXPECT_EQ(got.r.summary.total_ms, want.r.summary.total_ms);
+      EXPECT_EQ(got.r.summary.kernels, want.r.summary.kernels);
+      EXPECT_EQ(got.r.summary.events, want.r.summary.events);
+    }
+  }
+}
+
+std::vector<Method> concrete_methods() {
+  std::vector<Method> out;
+  for (u32 i = 0; i < split::kConcreteMethodCount; ++i)
+    out.push_back(static_cast<Method>(i));
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Methods, BucketFunctionBitIdentity, ::testing::ValuesIn(concrete_methods()),
+    [](const ::testing::TestParamInfo<Method>& info) {
+      return split::method_token(info.param);
+    });
 
 TEST(MultisplitApi, NonMonotoneBucketsWork) {
   // Bucket IDs need not be order-correlated with keys (Figure 1's

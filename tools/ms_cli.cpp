@@ -19,8 +19,6 @@
 // value-by-value with exact matching by default; exit 0 = no drift,
 // 1 = drift found, 2 = unusable input (bad file / schema mismatch).
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -28,13 +26,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include <iostream>
@@ -44,6 +40,7 @@
 #include "multisplit/serving.hpp"
 #include "multisplit/sort_baselines.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/flags.hpp"
 #include "sim/metrics.hpp"
 #include "sim/span.hpp"
 #include "sim/telemetry.hpp"
@@ -69,37 +66,8 @@ const std::map<std::string, workload::Distribution> kDists = {
     {"sorted", workload::Distribution::kSortedUniform},
 };
 
-/// A malformed flag on the command line; main() prints it and exits 2.
-class UsageError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// The one numeric parse every subcommand's flags go through: the whole
-/// value must be a finite number (T floating) or an unsigned integer that
-/// fits T (base 0 also takes a 0x prefix), else a UsageError naming the
-/// flag.
-template <typename T>
-T parse_flag(const std::string& flag, const std::string& value,
-             int base = 10) {
-  const char* s = value.c_str();
-  char* end = nullptr;
-  errno = 0;
-  if constexpr (std::is_floating_point_v<T>) {
-    const T x = std::strtod(s, &end);
-    if (end != s && *end == '\0' && errno == 0 && std::isfinite(x)) return x;
-  } else {
-    const unsigned long long x = std::strtoull(s, &end, base);
-    if (std::isdigit(static_cast<unsigned char>(s[0])) && *end == '\0' &&
-        errno == 0 && x <= std::numeric_limits<T>::max()) {
-      return static_cast<T>(x);
-    }
-  }
-  throw UsageError("invalid value '" + value + "' for " + flag +
-                   (std::is_floating_point_v<T>
-                        ? " (expected a number)"
-                        : " (expected an unsigned integer)"));
-}
+using sim::parse_flag;
+using sim::UsageError;
 
 void usage(const char* argv0) {
   std::printf(
@@ -584,7 +552,14 @@ std::optional<std::vector<TailSpan>> load_span_dump(const char* path) {
       }
       TailSpan s;
       s.span = static_cast<u64>(v.at("span").number);
-      s.parent = static_cast<u64>(v.at("parent").number);
+      // A parent is always opened before its child (ids follow open
+      // order), so parent < span; anything else is a hostile or corrupt
+      // dump whose parent walks would loop or index out of range.
+      const f64 parent = v.at("parent").number;
+      if (!(parent >= 0.0 && parent < static_cast<f64>(spans.size() + 1))) {
+        throw std::runtime_error("parent must name an earlier span or 0");
+      }
+      s.parent = static_cast<u64>(parent);
       s.trace = static_cast<u64>(v.at("trace").number);
       s.kind = v.at("kind").str;
       s.name = v.at("name").str;
@@ -631,7 +606,7 @@ std::optional<std::vector<TailSpan>> load_span_dump(const char* path) {
 /// request decomposes exactly into its launch spans plus retry backoff:
 ///   - per launch, the fixed launch overhead -> "launch overhead";
 ///   - the remainder of the launch -> "stage:<innermost enclosing stage>"
-///     (or "unstaged kernel" for launches outside any ProfileRegion);
+///     (or "unstaged kernel" for launches outside any sim::Stage);
 ///   - the request's accumulated retry backoff -> "retry backoff".
 /// Anything left over (zero by construction) is reported as "unattributed"
 /// so a broken dump is visible rather than silently renormalized.

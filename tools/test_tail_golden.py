@@ -10,21 +10,46 @@ tools/testdata/ and checks the output and exit-code contract:
                       request/attempt/stage/launch nesting and fault
                       events; every listed request >= 95% attributed)
   2  unusable input  (a telemetry timeline is not a span dump; missing
-                      file)
+                      file; a span whose parent is not an earlier span --
+                      self-parented launch or request, parent out of range
+                      -- is a malformed line, never a hang or a crash)
 
 Usage: test_tail_golden.py <ms_cli-binary> <testdata-dir>
 """
 
 import re
+import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
+# A broken tail can loop forever or print an unbounded tree; bound both so
+# the test fails instead of hanging or filling memory.
+TIMEOUT_S = 30
+MAX_OUTPUT_BYTES = 16 << 20
+
+
+def cap_output():
+    resource.setrlimit(resource.RLIMIT_FSIZE,
+                       (MAX_OUTPUT_BYTES, MAX_OUTPUT_BYTES))
+
+
 def run_tail(ms_cli, *args):
-    proc = subprocess.run([str(ms_cli), "tail", *map(str, args)],
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout + proc.stderr
+    with tempfile.TemporaryFile() as out:
+        try:
+            proc = subprocess.run([str(ms_cli), "tail", *map(str, args)],
+                                  stdout=out, stderr=subprocess.STDOUT,
+                                  timeout=TIMEOUT_S, preexec_fn=cap_output)
+        except subprocess.TimeoutExpired:
+            return None, f"timed out after {TIMEOUT_S} s"
+        out.seek(0)
+        return proc.returncode, out.read().decode(errors="replace")
+
+
+def clip(text, limit=4000):
+    return text if len(text) <= limit else text[:limit] + "\n... (clipped)"
 
 
 def main():
@@ -79,10 +104,18 @@ def main():
     if code != 2:
         failures.append(f"missing file: expected exit 2, got {code}\n{out}")
 
+    for name, line in (("spans_parent_self_launch.jsonl", 3),
+                       ("spans_parent_self_request.jsonl", 2),
+                       ("spans_parent_out_of_range.jsonl", 3)):
+        code, out = run_tail(ms_cli, data / name)
+        if code != 2 or f"tail: malformed line {line}" not in out:
+            failures.append(f"{name}: expected exit 2 + 'malformed line "
+                            f"{line}', got {code}\n{out}")
+
     if failures:
         print("FAIL: ms_cli tail golden contract:")
         for f in failures:
-            print(f"  {f}")
+            print(f"  {clip(f)}")
         return 1
     print("OK: ms_cli tail golden contract holds over committed fixtures")
     return 0
