@@ -10,6 +10,9 @@
 // compare+select.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "sim/types.hpp"
 
 namespace ms::split {
@@ -86,5 +89,28 @@ struct ChargeCost<F, std::void_t<decltype(F::charge_cost)>> {
 /// functors that don't declare a `charge_cost`).
 template <typename F>
 inline constexpr u32 bucket_charge_cost = detail::ChargeCost<F>::value;
+
+/// Host oracle: the stable partition `bucket_of` induces on `keys` (what
+/// every stable method must output) and its m + 1 bucket offsets.
+/// Returns false, leaving the outputs unspecified, when a key maps
+/// outside [0, m).
+template <typename BucketFn>
+bool host_stable_partition(std::span<const u32> keys, u32 m,
+                           const BucketFn& bucket_of,
+                           std::vector<u32>& out_keys,
+                           std::vector<u32>& offsets) {
+  std::vector<u32> counts(m, 0);
+  for (const u32 k : keys) {
+    const u32 b = bucket_of(k);
+    if (b >= m) return false;
+    counts[b] += 1;
+  }
+  offsets.assign(m + 1, 0);
+  for (u32 j = 0; j < m; ++j) offsets[j + 1] = offsets[j] + counts[j];
+  std::vector<u32> cursor(offsets.begin(), offsets.end() - 1);
+  out_keys.assign(keys.size(), 0);
+  for (const u32 k : keys) out_keys[cursor[bucket_of(k)]++] = k;
+  return true;
+}
 
 }  // namespace ms::split

@@ -21,19 +21,6 @@ u64 mix64(u64 x) {
   return x ^ (x >> 31);
 }
 
-/// Host ground truth: the stable partition RangeBucket{m} induces.
-void reference_split(const std::vector<u32>& keys, u32 m,
-                     std::vector<u32>* offsets, std::vector<u32>* sorted) {
-  const RangeBucket bucket{m};
-  std::vector<u32> counts(m, 0);
-  for (const u32 k : keys) counts[bucket(k)] += 1;
-  offsets->assign(m + 1, 0);
-  for (u32 j = 0; j < m; ++j) (*offsets)[j + 1] = (*offsets)[j] + counts[j];
-  std::vector<u32> cursor(offsets->begin(), offsets->end() - 1);
-  sorted->resize(keys.size());
-  for (const u32 k : keys) (*sorted)[cursor[bucket(k)]++] = k;
-}
-
 sim::DeviceProfile profile_by_name(const std::string& name) {
   if (name == "750ti") return sim::DeviceProfile::gtx_750_ti();
   if (name == "sol") return sim::DeviceProfile::speed_of_light();
@@ -83,7 +70,9 @@ ChaosCampaignReport run_chaos_campaign(const ChaosCampaignConfig& cfg) {
       keys[i] = static_cast<u32>(mix64(stream + i));
     }
     std::copy(keys.begin(), keys.end(), in.host().begin());
-    reference_split(keys, cfg.m, &want_offsets, &want_sorted);
+    // Host ground truth (RangeBucket never maps outside [0, m)).
+    (void)host_stable_partition(keys, cfg.m, bucket, want_sorted,
+                                want_offsets);
 
     const MultisplitPlan& plan = plans[req % plans.size()];
     MultisplitResult r;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <functional>
-#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -103,30 +102,22 @@ struct StageTimings {
   f64 total() const { return prescan_ms + scan_ms + postscan_ms; }
 };
 
-/// How a resilient run may respond to faults (injected or organic).
-/// Defaults give a request four total attempts with two tries per method
-/// before degrading down the fallback ladder, deterministic exponential
-/// backoff in *virtual* milliseconds (charged to the timing summary, not
-/// wall clock), and end-to-end output validation so corrupted-but-
-/// non-throwing runs are caught and retried rather than returned.
+/// How a resilient run may respond to faults (injected or organic).  A
+/// request gets kMaxAttempts total attempts, degrading down the fallback
+/// ladder after attempts_per_method tries on one method, with
+/// deterministic exponential backoff in *virtual* milliseconds (reported,
+/// never slept).  Every attempt's output is validated end to end, so
+/// corrupted-but-non-throwing runs are caught and retried rather than
+/// returned.
 struct RetryPolicy {
-  /// Total attempts across all methods (first try included).  1 disables
-  /// retry entirely -- the first fault propagates.
-  u32 max_attempts = 4;
+  /// Total attempts across all methods (first try included).
+  static constexpr u32 kMaxAttempts = 4;
+  /// Virtual backoff before retry k is kBackoffBaseMs * 2^(k-1) ms.
+  static constexpr f64 kBackoffBaseMs = 0.25;
+  static constexpr f64 kBackoffMultiplier = 2.0;
+
   /// Attempts on the current method before falling back to a simpler one.
   u32 attempts_per_method = 2;
-  /// Virtual backoff before retry k is base * multiplier^(k-1) ms.
-  f64 backoff_base_ms = 0.25;
-  f64 backoff_multiplier = 2.0;
-  /// Give up (FaultKind::kRetryExhausted) once the summed attempt +
-  /// backoff time exceeds this budget, even with attempts remaining.
-  f64 timeout_budget_ms = std::numeric_limits<f64>::infinity();
-  /// Re-check the output against the bucket function after every attempt
-  /// (stability included for stable methods).  Catches silent corruption.
-  bool validate_output = true;
-  /// Permit degrading to a different (simpler) method; off = retry the
-  /// requested method only.
-  bool allow_fallback = true;
   /// Treat data-integrity faults (OOB, uninitialized reads, races) as
   /// retryable.  Off by default: in a healthy program those are bugs, not
   /// transients.  Chaos campaigns turn this on, since injected bit flips
@@ -136,7 +127,7 @@ struct RetryPolicy {
 
 /// What resilience machinery did for one request (attached to the result).
 struct ResilienceInfo {
-  u32 attempts = 1;             // total run_method invocations
+  u32 attempts = 1;             // total attempts, first try included
   u32 retries = 0;              // attempts beyond the first
   u32 fallbacks = 0;            // method downgrades taken
   u32 validation_failures = 0;  // outputs rejected by the validator

@@ -10,17 +10,16 @@
 // runs reuse the same address ranges and re-hit L2 instead of growing the
 // address space.
 //
-// Every concrete method is one row of a MethodImpl dispatch table -- the
-// single method->implementation mapping both the plan and the legacy free
-// functions (multisplit.hpp, now thin wrappers) route through.  Single-shot
+// Every run is one sim::Request around attempts (detail::run_attempt,
+// whose switch is the single method->implementation mapping); the
+// resilient executor loops attempts inside its one request.  Single-shot
 // modeled costs are bit-identical to the pre-plan code: plan construction
-// does no device work, the dispatch table calls exactly the functions the
-// old switches called, and a fresh device's allocator hands out bump-
-// identical addresses (see DESIGN.md §10).
+// does no device work, the dispatch calls exactly the method functions,
+// and a fresh device's allocator hands out bump-identical addresses (see
+// DESIGN.md §10).
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <optional>
 #include <span>
 #include <string>
@@ -47,80 +46,64 @@ namespace detail {
 inline constexpr const sim::DeviceBuffer<u32>* kNoValues = nullptr;
 inline constexpr sim::DeviceBuffer<u32>* kNoValuesOut = nullptr;
 
-/// One row of the method dispatch table: the unified entry point of a
-/// concrete method for a given (BucketFn, V) instantiation.  Key-only
-/// callers pass null value buffers.
+/// One attempt of a concrete (already-resolved) method: the attempt span
+/// (a no-op outside a traced request), the method dispatch, and the
+/// result stamped with the method that ran.
 template <typename BucketFn, typename V>
-struct MethodImpl {
-  using RunFn = MultisplitResult (*)(
-      sim::Device&, const sim::DeviceBuffer<u32>&, sim::DeviceBuffer<u32>&,
-      const sim::DeviceBuffer<V>*, sim::DeviceBuffer<V>*, u32, BucketFn,
-      const MultisplitConfig&);
-  RunFn run;
-};
-
-/// The dispatch table, indexed by static_cast<u32>(Method).  Built once
-/// per (BucketFn, V) instantiation; replaces the duplicated 8-way switches
-/// the key-only and key-value entry points used to carry.
-template <typename BucketFn, typename V>
-const std::array<MethodImpl<BucketFn, V>, kConcreteMethodCount>&
-method_table() {
-  using D = sim::Device;
-  using Keys = sim::DeviceBuffer<u32>;
-  using Vals = sim::DeviceBuffer<V>;
-  using Cfg = MultisplitConfig;
-  static const std::array<MethodImpl<BucketFn, V>, kConcreteMethodCount>
-      table = {{
-          // kDirect
-          {[](D& dev, const Keys& in, Keys& out, const Vals* vi, Vals* vo,
-              u32 m, BucketFn fn, const Cfg& cfg) {
-            return warp_granularity_ms<false>(dev, in, out, vi, vo, m, fn,
-                                              cfg);
-          }},
-          // kWarpLevel
-          {[](D& dev, const Keys& in, Keys& out, const Vals* vi, Vals* vo,
-              u32 m, BucketFn fn, const Cfg& cfg) {
-            return warp_granularity_ms<true>(dev, in, out, vi, vo, m, fn,
-                                             cfg);
-          }},
-          // kBlockLevel
-          {[](D& dev, const Keys& in, Keys& out, const Vals* vi, Vals* vo,
-              u32 m, BucketFn fn, const Cfg& cfg) {
-            return block_ms(dev, in, out, vi, vo, m, fn, cfg);
-          }},
-          // kScanSplit (m <= 2, enforced at plan build)
-          {[](D& dev, const Keys& in, Keys& out, const Vals* vi, Vals* vo,
-              u32 m, BucketFn fn, const Cfg& cfg) {
-            return scan_split_ms(dev, in, out, vi, vo, m, fn, cfg);
-          }},
-          // kRecursiveScanSplit
-          {[](D& dev, const Keys& in, Keys& out, const Vals* vi, Vals* vo,
-              u32 m, BucketFn fn, const Cfg& cfg) {
-            return scan_split_ms(dev, in, out, vi, vo, m, fn, cfg);
-          }},
-          // kReducedBitSort
-          {[](D& dev, const Keys& in, Keys& out, const Vals* vi, Vals* vo,
-              u32 m, BucketFn fn, const Cfg& cfg) {
-            return reduced_bit_sort_ms(dev, in, out, vi, vo, m, fn, cfg);
-          }},
-          // kRandomizedInsertion (key-only; enforced at plan build and here)
-          {[](D& dev, const Keys& in, Keys& out, const Vals* vi, Vals*,
-              u32 m, BucketFn fn, const Cfg& cfg) {
-            check(vi == nullptr,
-                  "randomized insertion is key-only (Section 3.5)");
-            return randomized_insertion_ms(dev, in, out, m, fn, cfg);
-          }},
-          // kFusedBucketSort
-          {[](D& dev, const Keys& in, Keys& out, const Vals* vi, Vals* vo,
-              u32 m, BucketFn fn, const Cfg& cfg) {
-            return fused_bucket_sort_ms(dev, in, out, vi, vo, m, fn, cfg);
-          }},
-      }};
-  return table;
+MultisplitResult run_attempt(Method method, sim::Device& dev,
+                             const sim::DeviceBuffer<u32>& in,
+                             sim::DeviceBuffer<u32>& out,
+                             const sim::DeviceBuffer<V>* vals_in,
+                             sim::DeviceBuffer<V>* vals_out, u32 m,
+                             BucketFn bucket_of, const MultisplitConfig& cfg) {
+  const sim::SpanScope attempt_span(dev, sim::SpanKind::kAttempt,
+                                    method_token(method));
+  // Park scratch frees until this attempt completes, thrown or not:
+  // within-call alloc/free churn (the recursive scan split's per-round
+  // buffers) must see fresh bump addresses for bit-identical single-shot
+  // costs; the NEXT run then reuses everything this one freed, and a
+  // faulted attempt leaves the device servable instead of leaking the
+  // ranges its unwinding scratch buffers parked.
+  const sim::CachingAllocator::DeferredScope scope(dev.allocator());
+  MultisplitResult r;
+  switch (method) {
+    case Method::kDirect:
+      r = warp_granularity_ms<false>(dev, in, out, vals_in, vals_out, m,
+                                     bucket_of, cfg);
+      break;
+    case Method::kWarpLevel:
+      r = warp_granularity_ms<true>(dev, in, out, vals_in, vals_out, m,
+                                    bucket_of, cfg);
+      break;
+    case Method::kBlockLevel:
+      r = block_ms(dev, in, out, vals_in, vals_out, m, bucket_of, cfg);
+      break;
+    case Method::kScanSplit:  // m <= 2, enforced at plan build
+    case Method::kRecursiveScanSplit:
+      r = scan_split_ms(dev, in, out, vals_in, vals_out, m, bucket_of, cfg);
+      break;
+    case Method::kReducedBitSort:
+      r = reduced_bit_sort_ms(dev, in, out, vals_in, vals_out, m, bucket_of,
+                              cfg);
+      break;
+    case Method::kRandomizedInsertion:  // key-only; enforced at plan build
+      check(vals_in == nullptr,
+            "randomized insertion is key-only (Section 3.5)");
+      r = randomized_insertion_ms(dev, in, out, m, bucket_of, cfg);
+      break;
+    case Method::kFusedBucketSort:
+      r = fused_bucket_sort_ms(dev, in, out, vals_in, vals_out, m, bucket_of,
+                               cfg);
+      break;
+    case Method::kAuto:
+      fail("multisplit: method not resolved");
+  }
+  r.method_selected = method;
+  return r;
 }
 
-/// Dispatch a concrete (already-resolved) method and stamp the result with
-/// the method that ran.
+/// A plain run: one request bracket around one attempt.  A faulted
+/// attempt propagates; the bracket still records the modeled time spent.
 template <typename BucketFn, typename V>
 MultisplitResult run_method(Method method, sim::Device& dev,
                             const sim::DeviceBuffer<u32>& in,
@@ -128,55 +111,31 @@ MultisplitResult run_method(Method method, sim::Device& dev,
                             const sim::DeviceBuffer<V>* vals_in,
                             sim::DeviceBuffer<V>* vals_out, u32 m,
                             BucketFn bucket_of, const MultisplitConfig& cfg) {
-  const u32 idx = static_cast<u32>(method);
-  check(idx < kConcreteMethodCount, "multisplit: method not resolved");
-  // Span bracket: a plain run is its own request span; under the
-  // resilient executor (which already opened one) each run_method call
-  // is one attempt span.  Both are no-ops without a recorder.
-  sim::SpanRecorder* rec = dev.spans();
-  std::optional<sim::SpanScope> request_span;
-  if (rec != nullptr && !rec->in_request()) {
-    request_span.emplace(dev, sim::SpanKind::kRequest, method_token(method));
-  }
-  sim::SpanScope attempt_span(dev, sim::SpanKind::kAttempt,
-                              method_token(method));
-  // The trace id this request's latency samples carry as their exemplar
-  // (0 without tracing: histograms then record no exemplar).
-  const u64 trace_id = rec != nullptr ? rec->current_trace() : 0;
-  // Request bracket for serving telemetry: no-op unless the device has a
-  // registry attached; records host + modeled latency per request.
-  sim::TelemetryRequestScope telem(dev);
-  const f64 t0 = dev.lifetime_ms();
-  // Park scratch frees until this run completes: within-call alloc/free
-  // churn (the recursive scan split's per-round buffers) must see fresh
-  // bump addresses for bit-identical single-shot costs; the NEXT run then
-  // reuses everything this run freed.
-  MultisplitResult r;
-  try {
-    const sim::CachingAllocator::DeferredScope scope(dev.allocator());
-    r = method_table<BucketFn, V>()[idx].run(dev, in, out, vals_in, vals_out,
-                                             m, bucket_of, cfg);
-  } catch (...) {
-    // A faulted run must leave the device servable: the DeferredScope just
-    // flushed the frees that unwinding scratch buffers parked (so the next
-    // request reuses this run's address ranges instead of leaking them),
-    // and the telemetry bracket closes with the modeled time actually
-    // spent, so faulted requests are visible in the request histograms
-    // rather than silently dropped mid-flight.  The span scopes close
-    // during unwinding, so the attempt (and root request) span still
-    // records its end and counter deltas for aborted runs.
-    telem.finish(dev.lifetime_ms() - t0, trace_id);
-    throw;
-  }
-  r.method_selected = method;
-  // finish() after the scope closed: a snapshot taken at this tick sees
-  // the allocator with this run's scratch already back on the free lists.
-  telem.finish(r.total_ms(), trace_id);
+  sim::Request request(dev, method_token(method));
+  MultisplitResult r = run_attempt<BucketFn, V>(method, dev, in, out, vals_in,
+                                                vals_out, m, bucket_of, cfg);
+  request.finish(r.total_ms());
   return r;
 }
 
+/// Run `body` and return the fault it raised, if any: a thrown SimError
+/// (draining the duplicate sticky error the throw also parked, or the
+/// next clean call would be misread as faulted), else the sticky error
+/// a non-throwing fault parked (sanitizer reporting mode, the mt fault
+/// merge).
+template <typename Body>
+std::optional<sim::FaultContext> capture_fault(sim::Device& dev, Body&& body) {
+  try {
+    body();
+  } catch (const sim::SimError& e) {
+    (void)dev.take_last_error();
+    return e.context();
+  }
+  return dev.take_last_error();
+}
+
 /// Build the structured kRetryExhausted error a resilient run throws when
-/// its attempt or time budget runs out (defined in plan.cpp).
+/// its attempts run out (defined in plan.cpp).
 [[noreturn]] void throw_retry_exhausted(Method requested, u32 attempts,
                                         f64 spent_ms,
                                         const sim::FaultContext& last);
@@ -305,15 +264,15 @@ inline bool validate_offsets(const MultisplitResult& r, u64 n, u32 m,
   return true;
 }
 
-/// The resilient request executor (tentpole of the chaos PR): wraps
-/// run_method in a retry loop with deterministic virtual-time exponential
-/// backoff, a per-request time budget, graceful degradation down the
-/// fallback_method ladder, and optional end-to-end output validation that
-/// turns silent corruption into a retryable fault.  Faults are classified
-/// by fault_is_retryable; non-retryable ones rethrow immediately.  All
-/// accounting lands in the device's ResilienceStats and (when attached)
-/// the telemetry registry.  With no faults the executor adds zero device
-/// work, so a clean run is bit-identical to a run without a policy.
+/// The resilient request executor: one request bracket around a retry
+/// loop of attempts with deterministic virtual-time exponential backoff,
+/// graceful degradation down the fallback_method ladder, and end-to-end
+/// output validation that turns silent corruption into a retryable fault.
+/// Faults are classified by fault_is_retryable; non-retryable ones
+/// rethrow immediately.  All accounting lands in the device's
+/// ResilienceStats (which its telemetry provider publishes).  With no
+/// faults the executor adds zero device work, so a clean run is
+/// bit-identical to a run without a policy.
 template <typename BucketFn, typename V>
 MultisplitResult run_resilient(Method initial, sim::Device& dev,
                                const sim::DeviceBuffer<u32>& in,
@@ -329,44 +288,29 @@ MultisplitResult run_resilient(Method initial, sim::Device& dev,
   // ever sees faults raised by THIS request's attempts.
   (void)dev.take_last_error();
 
-  // The request span for the whole resilient execution: attempt spans
-  // (opened by run_method) nest under it, and retry / fallback /
-  // validation events attach to it with the fault that caused them.
+  // One request for the whole resilient execution: attempt spans nest
+  // under its span, retry / fallback / validation events attach to it
+  // with the fault that caused them, and telemetry records it once.
+  sim::Request request(dev, method_token(initial));
   sim::SpanRecorder* rec = dev.spans();
-  sim::SpanScope request_span(dev, sim::SpanKind::kRequest,
-                              method_token(initial));
 
   ResilienceInfo info;
   Method cur = initial;
   u32 tries_on_method = 0;
   f64 spent_ms = 0.0;
-  f64 next_backoff = rp.backoff_base_ms;
-  const u32 max_attempts = rp.max_attempts == 0 ? 1 : rp.max_attempts;
-  sim::Telemetry* telem = dev.telemetry();
+  f64 next_backoff = RetryPolicy::kBackoffBaseMs;
 
   for (u32 attempt = 1;; ++attempt) {
     info.attempts = attempt;
     tries_on_method += 1;
     cfg.method = cur;
-    std::optional<sim::FaultContext> fault;
     const f64 t0 = dev.lifetime_ms();
     MultisplitResult r;
-    try {
-      r = run_method<BucketFn, V>(cur, dev, in, out, vals_in, vals_out, m,
-                                  bucket_of, cfg);
-    } catch (const sim::SimError& e) {
-      fault = e.context();
-      // A thrown fault also parks itself as the sticky error; consume the
-      // duplicate now or the NEXT (clean) attempt would be misread as
-      // faulted.
-      (void)dev.take_last_error();
-    }
+    std::optional<sim::FaultContext> fault = capture_fault(dev, [&] {
+      r = run_attempt<BucketFn, V>(cur, dev, in, out, vals_in, vals_out, m,
+                                   bucket_of, cfg);
+    });
     if (!fault.has_value()) {
-      // Sanitizer reporting mode (and the mt fault merge) park faults as
-      // the sticky error instead of throwing; surface those here too.
-      fault = dev.take_last_error();
-    }
-    if (!fault.has_value() && rp.validate_output) {
       std::string why;
       const bool stable = method_traits(cur).stable;
       if (!validate_offsets(r, in.size(), m, &why) ||
@@ -375,9 +319,6 @@ MultisplitResult run_resilient(Method initial, sim::Device& dev,
                                              r.bucket_offsets, &why)) {
         info.validation_failures += 1;
         rs.validation_failures += 1;
-        if (telem != nullptr) {
-          telem->counter("resilience.validation_failures").add(1);
-        }
         sim::FaultContext ctx;
         ctx.kind = sim::FaultKind::kValidationFailure;
         ctx.kernel = "<resilience>";
@@ -396,50 +337,44 @@ MultisplitResult run_resilient(Method initial, sim::Device& dev,
       r.resilience = info;
       if (attempt > 1) {
         rs.recovered += 1;
-        if (telem != nullptr) {
-          telem->counter("resilience.recovered").add(1);
+        if (sim::Telemetry* telem = dev.telemetry()) {
           telem->histogram("request.retry_ms")
-              .record_ms(spent_ms,
-                         rec != nullptr ? rec->current_trace() : 0);
+              .record_ms(spent_ms, request.trace());
         }
       }
+      request.finish(r.total_ms());
       return r;
     }
     rs.faults_observed += 1;
-    if (telem != nullptr) telem->counter("resilience.faults").add(1);
     if (!fault_is_retryable(fault->kind, rp)) {
       rs.lost += 1;
-      if (telem != nullptr) telem->counter("resilience.lost").add(1);
       throw sim::SimError(std::move(*fault));
     }
-    if (attempt >= max_attempts || spent_ms >= rp.timeout_budget_ms) {
+    if (attempt >= RetryPolicy::kMaxAttempts) {
       rs.lost += 1;
-      if (telem != nullptr) telem->counter("resilience.lost").add(1);
       throw_retry_exhausted(initial, attempt, spent_ms, *fault);
     }
-    // Deterministic exponential backoff in VIRTUAL time: charged against
-    // the timeout budget and reported on the result, never slept -- wall
-    // clock would break bit-reproducibility of campaign reports.
+    // Deterministic exponential backoff in VIRTUAL time: reported on the
+    // result, never slept -- wall clock would break bit-reproducibility
+    // of campaign reports.
     info.backoff_ms += next_backoff;
     spent_ms += next_backoff;
-    if (request_span.active()) {
-      rec->add_backoff(request_span.id(), next_backoff);
+    if (request.span_id() != 0) {
+      rec->add_backoff(request.span_id(), next_backoff);
       rec->event(sim::SpanEvent{dev.lifetime_ms(), "retry",
                                 method_token(cur), *fault});
     }
-    next_backoff *= rp.backoff_multiplier;
+    next_backoff *= RetryPolicy::kBackoffMultiplier;
     info.retries += 1;
     rs.retries += 1;
-    if (telem != nullptr) telem->counter("resilience.retries").add(1);
-    if (rp.allow_fallback && tries_on_method >= rp.attempts_per_method) {
+    if (tries_on_method >= rp.attempts_per_method) {
       if (std::optional<Method> next =
               fallback_method(cur, m, vals_in != nullptr)) {
         cur = *next;
         tries_on_method = 0;
         info.fallbacks += 1;
         rs.fallbacks += 1;
-        if (telem != nullptr) telem->counter("resilience.fallbacks").add(1);
-        if (request_span.active()) {
+        if (request.span_id() != 0) {
           rec->event(sim::SpanEvent{dev.lifetime_ms(), "fallback",
                                     method_token(cur), *fault});
         }

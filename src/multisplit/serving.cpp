@@ -9,34 +9,6 @@
 
 namespace ms::split {
 
-namespace {
-
-/// Host reference for one packed problem: the stable partition (the fused
-/// kernels' contract) and its bucket offsets.  Returns false when the
-/// bucket function maps a key outside [0, m) -- a caller error no retry
-/// can cure.
-bool expected_partition(const std::vector<u32>& keys, u32 m,
-                        const BucketFunction& fn, std::vector<u32>& out_keys,
-                        std::vector<u32>& offsets, std::string* why) {
-  std::vector<u32> counts(m, 0);
-  for (const u32 k : keys) {
-    const u32 b = fn(k);
-    if (b >= m) {
-      if (why != nullptr) *why = "input key maps outside [0, m)";
-      return false;
-    }
-    counts[b] += 1;
-  }
-  offsets.assign(m + 1, 0);
-  for (u32 j = 0; j < m; ++j) offsets[j + 1] = offsets[j] + counts[j];
-  std::vector<u32> cursor(offsets.begin(), offsets.end() - 1);
-  out_keys.assign(keys.size(), 0);
-  for (const u32 k : keys) out_keys[cursor[fn(k)]++] = k;
-  return true;
-}
-
-}  // namespace
-
 ServingExecutor::ServingExecutor(sim::Device& dev, ServingPolicy policy)
     : dev_(&dev), policy_(std::move(policy)) {
   check(policy_.max_batch >= 1, "serving: max_batch must be >= 1");
@@ -135,9 +107,6 @@ u64 ServingExecutor::flush() {
   bs.unpacked_problems += unpacked;
   sim::Telemetry* telem = dev_->telemetry();
   if (telem != nullptr) {
-    telem->counter("serving.flushes").add(1);
-    telem->counter("serving.packed").add(sub.size() + warp.size());
-    telem->counter("serving.unpacked").add(unpacked);
     telem->histogram("serving.batch_size")
         .record_ms(static_cast<f64>(batch_size));
   }
@@ -169,7 +138,6 @@ void ServingExecutor::run_packed(PackClass cls, std::vector<FlushItem>& items,
                                  u64 batch_id, u32 batch_size) {
   sim::Device& dev = *dev_;
   sim::BatchStats& bs = dev.batch_stats();
-  sim::Telemetry* telem = dev.telemetry();
   sim::SpanRecorder* rec = dev.spans();
   const char* span_name =
       cls == PackClass::kSub ? "serve.batch.sub" : "serve.batch.warp";
@@ -234,18 +202,15 @@ void ServingExecutor::run_packed(PackClass cls, std::vector<FlushItem>& items,
     const f64 t0 = dev.lifetime_ms();
     std::optional<sim::FaultContext> fault;
     {
-      sim::SpanScope batch_span(dev, sim::SpanKind::kRequest, span_name);
-      try {
+      const sim::SpanScope batch_span(dev, sim::SpanKind::kRequest,
+                                      span_name);
+      fault = detail::capture_fault(dev, [&] {
         if (cls == PackClass::kSub) {
           batch_ms_sub(dev, keys_in, keys_out, counts, launch_list);
         } else {
           batch_ms_warp(dev, keys_in, keys_out, counts, launch_list);
         }
-      } catch (const sim::SimError& e) {
-        fault = e.context();
-        (void)dev.take_last_error();  // the throw also parked itself
-      }
-      if (!fault.has_value()) fault = dev.take_last_error();
+      });
     }
     const f64 t1 = dev.lifetime_ms();
 
@@ -296,13 +261,12 @@ void ServingExecutor::run_packed(PackClass cls, std::vector<FlushItem>& items,
         const u64 n = pp[i].n;
         const u32 m = pp[i].m;
         std::vector<u32> expect_keys, expect_off;
-        std::string why;
-        if (!expected_partition(req.keys, m, req.bucket, expect_keys,
-                                expect_off, &why)) {
+        if (!host_stable_partition(req.keys, m, req.bucket, expect_keys,
+                                   expect_off)) {
           // Caller error: deterministic, no retry can cure it.
           ServeResult& r = result_slot(req.ticket);
           r.failed = true;
-          r.error = why;
+          r.error = "input key maps outside [0, m)";
           r.method_selected = it->selected;
           r.pack_class = cls;
           r.batch_id = batch_id;
@@ -317,10 +281,7 @@ void ServingExecutor::run_packed(PackClass cls, std::vector<FlushItem>& items,
         std::vector<u32> got_keys(
             ko.begin() + static_cast<std::ptrdiff_t>(pp[i].base),
             ko.begin() + static_cast<std::ptrdiff_t>(pp[i].base + n));
-        const bool ok = !policy_.validate ||
-                        (got_off == expect_off && got_keys == expect_keys);
-        if (!ok) {
-          it->retry_rounds = round + 1;
+        if (got_off != expect_off || got_keys != expect_keys) {
           retry.push_back(it);
           continue;
         }
@@ -338,7 +299,7 @@ void ServingExecutor::run_packed(PackClass cls, std::vector<FlushItem>& items,
     }
 
     if (retry.empty()) return;
-    if (round >= policy_.max_retry_rounds) {
+    if (round >= ServingPolicy::kMaxRetryRounds) {
       for (FlushItem* it : retry) {
         ServeResult& r = result_slot(it->req->ticket);
         r.failed = true;
@@ -354,7 +315,6 @@ void ServingExecutor::run_packed(PackClass cls, std::vector<FlushItem>& items,
       return;
     }
     bs.problems_retried += retry.size();
-    if (telem != nullptr) telem->counter("serving.retries").add(retry.size());
     active = std::move(retry);
   }
 }
@@ -371,7 +331,7 @@ void ServingExecutor::run_unpacked(const FlushItem& item, u64 batch_id,
     sim::DeviceBuffer<u32> in(dev, std::span<const u32>(req.keys),
                               "serve.in");
     sim::DeviceBuffer<u32> out(dev, req.keys.size(), "serve.out");
-    MultisplitConfig cfg = policy_.config;
+    MultisplitConfig cfg;
     cfg.method = req.method;  // kAuto preserved: the plan resolves it
     const MultisplitPlan plan(dev, req.keys.size(), req.m, cfg);
     const MultisplitResult res = plan.run(in, out, req.bucket);

@@ -33,7 +33,7 @@
 // Partial-batch retry: a faulted fused launch (or a problem whose output
 // fails host validation, e.g. under chaos bit flips) re-packs ONLY the
 // affected problems into a fresh fused launch, up to
-// policy.max_retry_rounds; the rest of the batch completes normally.
+// ServingPolicy::kMaxRetryRounds; the rest of the batch completes normally.
 #pragma once
 
 #include <optional>
@@ -46,8 +46,15 @@
 namespace ms::split {
 
 /// Flush policy of a ServingExecutor.  All triggers are deterministic:
-/// queue depth and the device's virtual clock only.
+/// queue depth and the device's virtual clock only.  Every packed
+/// problem's output is host-validated against the stable partition (the
+/// fused kernels' contract), which catches silent corruption (chaos bit
+/// flips) per problem and enables partial-batch retry.
 struct ServingPolicy {
+  /// Re-pack rounds for faulted / validation-failed problems before
+  /// reporting them failed.
+  static constexpr u32 kMaxRetryRounds = 2;
+
   /// Flush as soon as this many requests are queued.
   u32 max_batch = 256;
   /// Flush at submit time when the oldest queued request has lingered
@@ -56,16 +63,6 @@ struct ServingPolicy {
   /// stream flushes on max_batch; interleaved foreground work expires
   /// lingering batches.
   f64 max_linger_ms = 0.25;
-  /// Re-pack rounds for faulted / validation-failed problems before
-  /// reporting them failed.
-  u32 max_retry_rounds = 2;
-  /// Host-validate every packed problem's output against the stable
-  /// partition (the fused kernels' contract).  Catches silent corruption
-  /// (chaos bit flips) per problem, enabling partial-batch retry.
-  bool validate = true;
-  /// Configuration forwarded to plan.run() for unpacked problems.
-  /// (method is overridden per request.)
-  MultisplitConfig config;
 };
 
 /// Completed request.  `failed` requests carry `error` and empty outputs.
@@ -139,12 +136,12 @@ class ServingExecutor {
     PendingRequest* req = nullptr;
     Method selected = Method::kAuto;
     PackClass cls = PackClass::kNone;
-    u32 retry_rounds = 0;
   };
 
   void maybe_flush();
   /// Run one fused launch over `items` (all of one class), validating and
-  /// retrying per policy; fills each item's ServeResult.
+  /// retrying up to ServingPolicy::kMaxRetryRounds; fills each item's
+  /// ServeResult.
   void run_packed(PackClass cls, std::vector<FlushItem>& items, u64 batch_id,
                   u32 batch_size);
   /// Ordinary plan path for one non-packable request (outside any batch

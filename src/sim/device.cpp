@@ -290,16 +290,8 @@ SpanRecorder& Device::enable_spans() {
 Telemetry& Device::enable_telemetry(const TelemetryConfig& cfg) {
   if (telem_ != nullptr) return *telem_;
   telem_ = std::make_unique<Telemetry>(cfg);
-  // Pre-register the resilient executor's instruments so every snapshot
-  // carries them (zero-valued until a resilient run records something)
-  // and `ms_cli top` renders the full resilience picture even for runs
-  // that never faulted.
-  telem_->counter("resilience.faults");
-  telem_->counter("resilience.retries");
-  telem_->counter("resilience.fallbacks");
-  telem_->counter("resilience.recovered");
-  telem_->counter("resilience.lost");
-  telem_->counter("resilience.validation_failures");
+  // Pre-registered so every snapshot carries it (empty until a resilient
+  // run recovers) and `ms_cli top` renders it even for fault-free runs.
   telem_->histogram("request.retry_ms");
   // Interval state lives in a shared_ptr captured by the provider: the
   // deltas between consecutive snapshots turn lifetime totals into
@@ -376,6 +368,22 @@ Telemetry& Device::enable_telemetry(const TelemetryConfig& cfg) {
                          ? total_busy / (dt_ms * static_cast<f64>(ws.size()))
                          : 0.0});
     }
+
+    // The resilient and serving executors count into the device's stats
+    // structs; telemetry publishes those device-lifetime totals.
+    const ResilienceStats& rs = res_stats_;
+    out.push_back({"resilience.faults", static_cast<f64>(rs.faults_observed)});
+    out.push_back({"resilience.retries", static_cast<f64>(rs.retries)});
+    out.push_back({"resilience.fallbacks", static_cast<f64>(rs.fallbacks)});
+    out.push_back({"resilience.recovered", static_cast<f64>(rs.recovered)});
+    out.push_back({"resilience.lost", static_cast<f64>(rs.lost)});
+    out.push_back({"resilience.validation_failures",
+                   static_cast<f64>(rs.validation_failures)});
+    const BatchStats& bs = batch_stats_;
+    out.push_back({"serving.flushes", static_cast<f64>(bs.batches)});
+    out.push_back({"serving.packed", static_cast<f64>(bs.packed_problems)});
+    out.push_back({"serving.unpacked", static_cast<f64>(bs.unpacked_problems)});
+    out.push_back({"serving.retries", static_cast<f64>(bs.problems_retried)});
   });
   return *telem_;
 }

@@ -1,5 +1,6 @@
 #include "sim/json.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -146,6 +147,18 @@ const JsonValue& JsonValue::at(std::string_view key) const {
     throw std::runtime_error("json: missing member '" + std::string(key) + "'");
   }
   return *v;
+}
+
+u64 JsonValue::at_u64(std::string_view key) const {
+  const JsonValue& v = at(key);
+  // 2^64: every whole double below it converts to u64 exactly.
+  constexpr f64 kTwoPow64 = 18446744073709551616.0;
+  if (!v.is_number() || !(v.number >= 0.0) || v.number >= kTwoPow64 ||
+      v.number != std::floor(v.number)) {
+    throw std::runtime_error("json: member '" + std::string(key) +
+                             "' must be a whole number in [0, 2^64)");
+  }
+  return static_cast<u64>(v.number);
 }
 
 namespace {

@@ -82,6 +82,10 @@ struct JsonValue {
   const JsonValue* find(std::string_view key) const;
   /// find() that throws std::runtime_error when the member is missing.
   const JsonValue& at(std::string_view key) const;
+  /// The member as a count, id or version read from untrusted input: a
+  /// whole number in [0, 2^64).  Throws std::runtime_error when it is
+  /// missing, not a number, fractional, negative or too large.
+  u64 at_u64(std::string_view key) const;
 };
 
 /// Parse a complete JSON document (throws std::runtime_error on malformed

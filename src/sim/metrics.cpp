@@ -819,7 +819,7 @@ u64 schema_of(const JsonValue& v, const char* which) {
              "metrics schema; regenerate it with this build",
              which));
   }
-  return static_cast<u64>(s->number);
+  return v.at_u64("schema_version");
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 // FaultContext.
 //
 // Determinism: every span open/close point sits on the main thread
-// (begin_kernel/end_kernel, run_method, run_resilient, Stage),
+// (begin_kernel/end_kernel, Request, run_attempt, Stage),
 // and the only worker-thread producers -- kernel-body faults under the
 // parallel block scheduler -- park their events in the per-item
 // CounterShard and are merged in ascending item order, exactly like the

@@ -90,6 +90,31 @@ auto* find_named(Vec& v, std::string_view name) {
   return decltype(v.front().second.get()){nullptr};
 }
 
+/// Reorder `scalars` so every dotted-prefix group ("serving" for
+/// "serving.requests") is one contiguous run, groups in first-appearance
+/// order.  Registry instruments and provider scalars may share a prefix;
+/// exporters (the trace's one counter track per group) rely on the runs.
+void group_by_prefix(std::vector<ScalarSample>& scalars) {
+  std::vector<std::string_view> groups;
+  std::vector<std::size_t> group_of;
+  group_of.reserve(scalars.size());
+  for (const ScalarSample& s : scalars) {
+    const std::string_view g = std::string_view(s.name).substr(
+        0, s.name.find('.'));
+    const auto it = std::find(groups.begin(), groups.end(), g);
+    group_of.push_back(static_cast<std::size_t>(it - groups.begin()));
+    if (it == groups.end()) groups.push_back(g);
+  }
+  std::vector<ScalarSample> out;
+  out.reserve(scalars.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::size_t i = 0; i < scalars.size(); ++i) {
+      if (group_of[i] == g) out.push_back(std::move(scalars[i]));
+    }
+  }
+  scalars = std::move(out);
+}
+
 }  // namespace
 
 Telemetry::Telemetry(TelemetryConfig cfg)
@@ -155,6 +180,7 @@ void Telemetry::sample_now() {
     snap.scalars.push_back({name, g->value()});
   }
   for (const auto& p : providers_) p(snap.scalars, dt_ms);
+  group_by_prefix(snap.scalars);
   // The Device provider reports the modeled clock as a scalar; lift it
   // into the snapshot's timestamp so exporters can plot on the modeled
   // timeline without knowing provider internals.
@@ -193,23 +219,44 @@ void Telemetry::sample_now() {
 }
 
 // ---------------------------------------------------------------------------
-// TelemetryRequestScope
+// Request
 // ---------------------------------------------------------------------------
 
-TelemetryRequestScope::TelemetryRequestScope(Device& dev)
-    : t_(dev.telemetry()) {
-  if (t_ != nullptr) t0_ = std::chrono::steady_clock::now();
+Request::Request(Device& dev, std::string name)
+    : dev_(&dev),
+      span_(dev, SpanKind::kRequest, std::move(name)),
+      t_(dev.telemetry()) {
+  if (const SpanRecorder* rec = dev.spans()) trace_ = rec->current_trace();
+  if (t_ == nullptr) return;
+  host_ms_ = &t_->histogram("request.host_ms");
+  modeled_ms_ = &t_->histogram("request.modeled_ms");
+  requests_ = &t_->counter("requests");
+  modeled_t0_ = dev.lifetime_ms();
+  host_t0_ = std::chrono::steady_clock::now();
 }
 
-void TelemetryRequestScope::finish(f64 modeled_ms, u64 exemplar_trace) {
+Request::~Request() {
+  // Unwinding past a faulted request: record the modeled time it spent.
+  // No tick -- sampling allocates, and a destructor must not throw; the
+  // next kernel end, request or exporter sample picks the record up.
+  if (!finished_) record(dev_->lifetime_ms() - modeled_t0_);
+}
+
+void Request::finish(f64 modeled_ms) {
+  if (finished_) return;
+  record(modeled_ms);
+  if (t_ != nullptr) t_->tick();
+}
+
+void Request::record(f64 modeled_ms) {
+  finished_ = true;
   if (t_ == nullptr) return;
   const f64 host_ms = std::chrono::duration<f64, std::milli>(
-                          std::chrono::steady_clock::now() - t0_)
+                          std::chrono::steady_clock::now() - host_t0_)
                           .count();
-  t_->histogram("request.host_ms").record_ms(host_ms, exemplar_trace);
-  t_->histogram("request.modeled_ms").record_ms(modeled_ms, exemplar_trace);
-  t_->counter("requests").add(1);
-  t_->tick();
+  host_ms_->record_ms(host_ms, trace_);
+  modeled_ms_->record_ms(modeled_ms, trace_);
+  requests_->add(1);
 }
 
 // ---------------------------------------------------------------------------

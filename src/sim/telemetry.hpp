@@ -44,9 +44,12 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/span.hpp"
 #include "sim/types.hpp"
 
 namespace ms::sim {
+
+class Device;
 
 struct TelemetryConfig {
   /// Minimum host milliseconds between ring snapshots taken by tick();
@@ -260,22 +263,44 @@ class Telemetry {
   std::deque<TelemetrySnapshot> ring_;
 };
 
-/// RAII request bracket for the plan executor: construction notes the
-/// host start time when the device has telemetry enabled (no-op
-/// otherwise); finish() records the request's host latency and modeled
-/// latency into the "request.host_ms" / "request.modeled_ms" histograms,
-/// bumps the "requests" counter and ticks the sampler.
-class Device;
-class TelemetryRequestScope {
+/// RAII request bracket, the request-level sibling of sim::Stage.
+/// Construction opens the kRequest span (inactive without a span
+/// recorder) and, when the device has telemetry attached, resolves the
+/// "request.host_ms" / "request.modeled_ms" histograms, the "requests"
+/// counter and the span's trace id as their exemplar.  finish() records
+/// one sample of each and ticks the sampler.  A request destroyed without
+/// finish() -- one that threw -- records the modeled time it spent
+/// (device lifetime delta) without ticking, so faulted requests stay
+/// visible in the histograms instead of being dropped.
+class Request {
  public:
-  explicit TelemetryRequestScope(Device& dev);
-  /// `exemplar_trace`: the request's span trace id (0 = not traced),
-  /// attached to the latency samples as their histogram-bucket exemplar.
-  void finish(f64 modeled_ms, u64 exemplar_trace = 0);
+  Request(Device& dev, std::string name);
+  ~Request();
+
+  Request(const Request&) = delete;
+  Request& operator=(const Request&) = delete;
+
+  /// Record the request's latency (`modeled_ms` is its modeled cost) and
+  /// tick the sampler.  Idempotent.
+  void finish(f64 modeled_ms);
+  /// The request span's id, 0 without a span recorder.
+  u64 span_id() const { return span_.id(); }
+  /// The request's trace id, 0 without a span recorder.
+  u64 trace() const { return trace_; }
 
  private:
+  void record(f64 modeled_ms);  ///< the samples; no allocation, no throw
+
+  Device* dev_;
+  SpanScope span_;
+  u64 trace_ = 0;
+  bool finished_ = false;
+  f64 modeled_t0_ = 0.0;
+  std::chrono::steady_clock::time_point host_t0_;
+  LatencyHistogram* host_ms_ = nullptr;  ///< null when telemetry is off
+  LatencyHistogram* modeled_ms_ = nullptr;
+  Counter* requests_ = nullptr;
   Telemetry* t_ = nullptr;
-  std::chrono::steady_clock::time_point t0_;
 };
 
 /// Write the whole timeline as schema-versioned JSONL: a header object

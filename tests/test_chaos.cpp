@@ -422,10 +422,8 @@ TEST(ResilientRun, ExhaustedBudgetThrowsStructuredError) {
   pol.p_alloc_fail = 1.0;
   dev.enable_chaos(pol);
   const MultisplitPlan plan(dev, n, m);
-  RetryPolicy rp;
-  rp.max_attempts = 4;
   try {
-    plan.run(in, out, RangeBucket{m}, rp);
+    plan.run(in, out, RangeBucket{m}, RetryPolicy{});
     FAIL() << "exhausted retries did not throw";
   } catch (const sim::SimError& e) {
     EXPECT_EQ(e.context().kind, FaultKind::kRetryExhausted);
@@ -449,7 +447,6 @@ TEST(ResilientRun, FallbackLadderEngagesUnderPersistentAborts) {
   cfg.method = Method::kBlockLevel;
   const MultisplitPlan plan(dev, n, m, cfg);
   RetryPolicy rp;
-  rp.max_attempts = 4;
   rp.attempts_per_method = 1;  // degrade on every retry
   EXPECT_THROW(plan.run(in, out, RangeBucket{m}, rp), sim::SimError);
   // block -> warp -> direct -> recursive scan split: three downgrades.

@@ -4,9 +4,11 @@
 // under the 4-thread scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "multisplit/multisplit.hpp"
+#include "multisplit/serving.hpp"
 #include "sim/metrics.hpp"
 #include "sim/telemetry.hpp"
 #include "workload/distributions.hpp"
@@ -288,6 +290,135 @@ TEST(TelemetryDeterminism, ModeledLatencyDigestMatchesAcrossThreadCounts) {
     return os.str();
   };
   EXPECT_EQ(digest(1), digest(4));
+}
+
+// --- the request bracket and the executors' one accounting sink ----------
+
+std::vector<u32> request_keys(u64 n, u32 m, u64 seed) {
+  workload::WorkloadConfig wc;
+  wc.m = m;
+  wc.seed = seed;
+  return workload::generate_keys(n, wc);
+}
+
+/// A resilient request that needed a retry is still ONE request to
+/// telemetry: one "requests" tick and one sample per latency histogram,
+/// the result's modeled cost; the retry's cost lands in request.retry_ms.
+TEST(TelemetryRequest, RetriedRequestRecordsOneSample) {
+  constexpr u64 n = u64{1} << 12;
+  constexpr u32 m = 8;
+  const auto host = request_keys(n, m, 11);
+  sim::Device dev;
+  sim::Telemetry& t = dev.enable_telemetry();
+  sim::DeviceBuffer<u32> in(dev, std::span<const u32>(host)), out(dev, n);
+  dev.enable_chaos(sim::ChaosPolicy{});
+  dev.chaos()->arm_alloc_failure();  // first scratch alloc of attempt 1
+  const split::MultisplitPlan plan(dev, n, m);
+  const auto r =
+      plan.run(in, out, split::RangeBucket{m}, split::RetryPolicy{});
+  ASSERT_EQ(r.resilience.attempts, 2u);
+  EXPECT_EQ(dev.resilience_stats().requests, 1u);
+  EXPECT_EQ(t.counter("requests").value(), 1u);
+  EXPECT_EQ(t.histogram("request.host_ms").count(), 1u);
+  EXPECT_EQ(t.histogram("request.modeled_ms").count(), 1u);
+  EXPECT_EQ(t.histogram("request.retry_ms").count(), 1u);
+  const auto modeled = t.histogram("request.modeled_ms").snapshot();
+  EXPECT_EQ(modeled.sum_ticks,
+            static_cast<u64>(r.total_ms() * 1e6 + 0.5));
+}
+
+/// A request that throws records one sample of the modeled time it spent.
+TEST(TelemetryRequest, LostRequestRecordsTheTimeItSpent) {
+  constexpr u64 n = u64{1} << 10;
+  constexpr u32 m = 8;
+  const auto host = request_keys(n, m, 14);
+  sim::Device dev;
+  sim::Telemetry& t = dev.enable_telemetry();
+  sim::DeviceBuffer<u32> in(dev, std::span<const u32>(host)), out(dev, n);
+  sim::ChaosPolicy pol;
+  pol.p_launch_abort = 1.0;  // every attempt of every method aborts
+  dev.enable_chaos(pol);
+  const split::MultisplitPlan plan(dev, n, m);
+  const f64 t0 = dev.lifetime_ms();
+  EXPECT_THROW(
+      plan.run(in, out, split::RangeBucket{m}, split::RetryPolicy{}),
+      sim::SimError);
+  EXPECT_EQ(dev.resilience_stats().lost, 1u);
+  EXPECT_EQ(t.counter("requests").value(), 1u);
+  const auto modeled = t.histogram("request.modeled_ms").snapshot();
+  EXPECT_EQ(modeled.count, 1u);
+  EXPECT_EQ(modeled.sum_ticks,
+            static_cast<u64>((dev.lifetime_ms() - t0) * 1e6 + 0.5));
+}
+
+/// The resilient and serving executors count only into the device's
+/// stats structs; the device's telemetry provider publishes those totals,
+/// one contiguous run per dotted prefix.
+TEST(TelemetryRequest, ExecutorScalarsMirrorDeviceStats) {
+  sim::Device dev;
+  sim::Telemetry& t = dev.enable_telemetry();
+  dev.enable_chaos(sim::ChaosPolicy{});  // armed, all probabilities zero
+
+  // A faulted serving flush: sub-warp, warp and unpacked problems, with
+  // the first fused launch aborted so its problems re-pack.
+  split::ServingPolicy policy;
+  policy.max_batch = 1000;
+  policy.max_linger_ms = 1e9;
+  split::ServingExecutor exec(dev, policy);
+  for (u32 i = 0; i < 6; ++i) {
+    exec.submit(request_keys(5, 4, 100 + i), 4, split::RangeBucket{4});
+    exec.submit(request_keys(300, 16, 200 + i), 16, split::RangeBucket{16});
+  }
+  exec.submit(request_keys(8192, 8, 300), 8, split::RangeBucket{8});
+  dev.chaos()->arm_launch_abort();
+  exec.drain();
+
+  // A resilient run that recovers after one retry.
+  constexpr u64 n = u64{1} << 12;
+  constexpr u32 m = 8;
+  const auto host = request_keys(n, m, 12);
+  sim::DeviceBuffer<u32> in(dev, std::span<const u32>(host)), out(dev, n);
+  dev.chaos()->arm_launch_abort();
+  split::MultisplitPlan(dev, n, m)
+      .run(in, out, split::RangeBucket{m}, split::RetryPolicy{});
+
+  t.sample_now();
+  const auto& scalars = t.latest()->scalars;
+  const auto scalar = [&](std::string_view name) -> f64 {
+    for (const auto& s : scalars) {
+      if (s.name == name) return s.value;
+    }
+    ADD_FAILURE() << "no scalar " << name;
+    return -1.0;
+  };
+  const sim::ResilienceStats& rs = dev.resilience_stats();
+  EXPECT_GT(rs.retries, 0u);
+  EXPECT_EQ(scalar("resilience.faults"), rs.faults_observed);
+  EXPECT_EQ(scalar("resilience.retries"), rs.retries);
+  EXPECT_EQ(scalar("resilience.fallbacks"), rs.fallbacks);
+  EXPECT_EQ(scalar("resilience.recovered"), rs.recovered);
+  EXPECT_EQ(scalar("resilience.lost"), rs.lost);
+  EXPECT_EQ(scalar("resilience.validation_failures"),
+            rs.validation_failures);
+  const sim::BatchStats& bs = dev.batch_stats();
+  EXPECT_GT(bs.problems_retried, 0u);
+  EXPECT_GT(bs.unpacked_problems, 0u);
+  EXPECT_EQ(scalar("serving.flushes"), bs.batches);
+  EXPECT_EQ(scalar("serving.packed"), bs.packed_problems);
+  EXPECT_EQ(scalar("serving.unpacked"), bs.unpacked_problems);
+  EXPECT_EQ(scalar("serving.retries"), bs.problems_retried);
+
+  // Registry ("serving.requests") and provider ("serving.flushes")
+  // scalars share the serving prefix; each prefix is one run.
+  std::vector<std::string> done;
+  std::string group;
+  for (const auto& s : scalars) {
+    const std::string g = s.name.substr(0, s.name.find('.'));
+    if (g == group) continue;
+    EXPECT_EQ(std::find(done.begin(), done.end(), g), done.end())
+        << "prefix " << g << " split at " << s.name;
+    done.push_back(group = g);
+  }
 }
 
 }  // namespace

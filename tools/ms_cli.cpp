@@ -417,6 +417,7 @@ int cmd_top(int argc, char** argv) {
   std::string line, last;
   bool saw_header = false;
   u64 line_no = 0;
+  u64 last_no = 0;  // line number of `last`, for diagnostics
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
@@ -430,9 +431,10 @@ int cmd_top(int argc, char** argv) {
           std::printf("top: '%s' is not a telemetry timeline\n", argv[1]);
           return 2;
         }
-        const u32 ver = static_cast<u32>(h.at("schema_version").number);
+        const u64 ver = h.at_u64("schema_version");
         if (ver != sim::kReportSchemaVersion) {
-          std::printf("top: schema v%u, this tool expects v%u\n", ver,
+          std::printf("top: schema v%llu, this tool expects v%u\n",
+                      static_cast<unsigned long long>(ver),
                       sim::kReportSchemaVersion);
           return 2;
         }
@@ -444,6 +446,7 @@ int cmd_top(int argc, char** argv) {
       continue;
     }
     last = line;
+    last_no = line_no;
   }
   if (!saw_header || last.empty()) {
     std::printf("top: '%s' has no snapshots\n", argv[1]);
@@ -453,7 +456,7 @@ int cmd_top(int argc, char** argv) {
   sim::TelemetrySnapshot snap;
   try {
     const sim::JsonValue v = sim::parse_json(last);
-    snap.seq = static_cast<u64>(v.at("seq").number);
+    snap.seq = v.at_u64("seq");
     snap.host_ms = v.at("host_ms").number;
     snap.modeled_ms = v.at("modeled_ms").number;
     for (const auto& [name, val] : v.at("scalars").object) {
@@ -462,7 +465,7 @@ int cmd_top(int argc, char** argv) {
     for (const auto& [name, h] : v.at("histograms").object) {
       sim::HistogramSample out;
       out.name = name;
-      out.count = static_cast<u64>(h.at("count").number);
+      out.count = h.at_u64("count");
       out.sum_ms = h.at("sum_ms").number;
       out.min_ms = h.at("min_ms").number;
       out.max_ms = h.at("max_ms").number;
@@ -473,8 +476,7 @@ int cmd_top(int argc, char** argv) {
       // Exemplar trace ids are only written when a traced request landed in
       // the percentile's bucket -- optional on read too.
       const auto trace = [&h](const char* key) -> u64 {
-        const sim::JsonValue* v = h.find(key);
-        return v != nullptr ? static_cast<u64>(v->number) : 0;
+        return h.find(key) != nullptr ? h.at_u64(key) : 0;
       };
       out.p50_trace = trace("p50_trace");
       out.p95_trace = trace("p95_trace");
@@ -485,7 +487,7 @@ int cmd_top(int argc, char** argv) {
     }
   } catch (const std::runtime_error& e) {
     std::printf("top: malformed snapshot (line %llu): %s\n",
-                static_cast<unsigned long long>(line_no), e.what());
+                static_cast<unsigned long long>(last_no), e.what());
     return 2;
   }
   sim::write_prometheus(std::cout, snap);
@@ -541,9 +543,10 @@ std::optional<std::vector<TailSpan>> load_span_dump(const char* path) {
           std::printf("tail: '%s' is not a span dump\n", path);
           return std::nullopt;
         }
-        const u32 ver = static_cast<u32>(v.at("schema_version").number);
+        const u64 ver = v.at_u64("schema_version");
         if (ver != sim::kReportSchemaVersion) {
-          std::printf("tail: schema v%u, this tool expects v%u\n", ver,
+          std::printf("tail: schema v%llu, this tool expects v%u\n",
+                      static_cast<unsigned long long>(ver),
                       sim::kReportSchemaVersion);
           return std::nullopt;
         }
@@ -551,16 +554,15 @@ std::optional<std::vector<TailSpan>> load_span_dump(const char* path) {
         continue;
       }
       TailSpan s;
-      s.span = static_cast<u64>(v.at("span").number);
+      s.span = v.at_u64("span");
       // A parent is always opened before its child (ids follow open
       // order), so parent < span; anything else is a hostile or corrupt
       // dump whose parent walks would loop or index out of range.
-      const f64 parent = v.at("parent").number;
-      if (!(parent >= 0.0 && parent < static_cast<f64>(spans.size() + 1))) {
+      s.parent = v.at_u64("parent");
+      if (s.parent > spans.size()) {
         throw std::runtime_error("parent must name an earlier span or 0");
       }
-      s.parent = static_cast<u64>(parent);
-      s.trace = static_cast<u64>(v.at("trace").number);
+      s.trace = v.at_u64("trace");
       s.kind = v.at("kind").str;
       s.name = v.at("name").str;
       s.begin_ms = v.at("begin_ms").number;

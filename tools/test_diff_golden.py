@@ -10,7 +10,8 @@ and checks the full exit-code contract:
                                    name the result row, site label and
                                    counter)
   2  unusable input               (schema_version mismatch against the v1
-                                   fixture, and a missing file)
+                                   fixture, a fractional schema_version,
+                                   and a missing file)
 
 Usage: test_diff_golden.py <ms_cli-binary> <testdata-dir>
 """
@@ -61,6 +62,13 @@ def main():
     if "schema_version" not in out:
         failures.append(
             f"old-schema diff: error does not mention schema_version\n{out}")
+
+    # schema_version 8.75 is not a version, and never truncates to v8.
+    code, out = run_diff(ms_cli, base, data / "diff_schema_fraction.json")
+    if code != 2 or "schema_version" not in out:
+        failures.append(
+            f"fractional schema: expected exit 2 naming schema_version, "
+            f"got {code}\n{out}")
 
     code, out = run_diff(ms_cli, base, data / "does_not_exist.json")
     if code != 2:

@@ -12,7 +12,10 @@ tools/testdata/ and checks the output and exit-code contract:
   2  unusable input  (a telemetry timeline is not a span dump; missing
                       file; a span whose parent is not an earlier span --
                       self-parented launch or request, parent out of range
-                      -- is a malformed line, never a hang or a crash)
+                      -- is a malformed line, never a hang or a crash;
+                      so is a fractional span or parent id; a
+                      schema_version past 2^32 is not read as a
+                      wrapped-around v8)
 
 Usage: test_tail_golden.py <ms_cli-binary> <testdata-dir>
 """
@@ -106,11 +109,17 @@ def main():
 
     for name, line in (("spans_parent_self_launch.jsonl", 3),
                        ("spans_parent_self_request.jsonl", 2),
-                       ("spans_parent_out_of_range.jsonl", 3)):
+                       ("spans_parent_out_of_range.jsonl", 3),
+                       ("spans_fractional_ids.jsonl", 3)):
         code, out = run_tail(ms_cli, data / name)
         if code != 2 or f"tail: malformed line {line}" not in out:
             failures.append(f"{name}: expected exit 2 + 'malformed line "
                             f"{line}', got {code}\n{out}")
+
+    code, out = run_tail(ms_cli, data / "spans_schema_overflow.jsonl")
+    if code != 2 or "schema v4294967304" not in out:
+        failures.append(f"spans_schema_overflow.jsonl: expected exit 2 + "
+                        f"'schema v4294967304', got {code}\n{out}")
 
     if failures:
         print("FAIL: ms_cli tail golden contract:")
