@@ -57,94 +57,100 @@ struct Options {
   mutable bool telemetry_written = false;
   mutable bool spans_written = false;
 
-  /// Strict parser: unknown flags, missing values, unknown device names
-  /// and malformed or out-of-range numbers (--n above 31: bucket offsets
-  /// are u32; --trials or --host-threads of 0) are hard errors (exit 2),
-  /// not silent fallbacks.  Benches that support machine-readable output
-  /// pass `machine_readable = true` to enable --json/--trace; elsewhere
-  /// those flags are rejected with an explanation.
+  /// Strict parser: unknown flags, missing values, unknown device names,
+  /// malformed or out-of-range numbers (--n above 31: bucket offsets are
+  /// u32; --trials or --host-threads of 0; --host-threads above
+  /// kMaxHostThreads) and bad MS_HOST_THREADS / MS_SANITIZE values are
+  /// hard errors (exit 2), not silent fallbacks.  Benches that support
+  /// machine-readable output pass `machine_readable = true` to enable
+  /// --json/--trace; elsewhere those flags are rejected with an
+  /// explanation.
   static Options parse(int argc, char** argv, u32 default_log2_n,
                        u32 paper_log2_n, bool machine_readable = false) {
     Options o;
     o.log2_n = default_log2_n;
     o.paper_log2_n = paper_log2_n;
-    for (int i = 1; i < argc; ++i) {
-      const auto value = [&](const char* flag) -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
+    try {
+      for (int i = 1; i < argc; ++i) {
+        const auto value = [&](const char* flag) -> const char* {
+          if (i + 1 >= argc) {
+            std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
+                         flag);
+            std::exit(2);
+          }
+          return argv[++i];
+        };
+        const auto count = [&](const char* flag, u32 lo, u32 hi) -> u32 {
+          return sim::parse_flag_in<u32>(flag, value(flag), lo, hi);
+        };
+        if (!std::strcmp(argv[i], "--n")) {
+          o.log2_n = count("--n", 0, 31);
+        } else if (!std::strcmp(argv[i], "--full")) {
+          o.full = true;
+          o.log2_n = paper_log2_n;
+        } else if (!std::strcmp(argv[i], "--device")) {
+          o.device = value("--device");
+          if (o.device != "k40c" && o.device != "750ti" &&
+              o.device != "gtx750ti" && o.device != "sol") {
+            std::fprintf(stderr,
+                         "%s: unknown device '%s' (expected k40c, 750ti or "
+                         "sol)\n",
+                         argv[0], o.device.c_str());
+            std::exit(2);
+          }
+        } else if (!std::strcmp(argv[i], "--trials")) {
+          o.trials = count("--trials", 1, UINT32_MAX);
+        } else if (!std::strcmp(argv[i], "--method")) {
+          const char* name = value("--method");
+          o.method = split::parse_method(name);
+          if (!o.method) {
+            std::fprintf(stderr,
+                         "%s: unknown method '%s' (try ms_cli --list)\n",
+                         argv[0], name);
+            std::exit(2);
+          }
+        } else if (!std::strcmp(argv[i], "--host-threads")) {
+          o.host_threads = count("--host-threads", 1, sim::kMaxHostThreads);
+          sim::set_default_host_threads(o.host_threads);
+        } else if (!std::strcmp(argv[i], "--json") && machine_readable) {
+          o.json_path = value("--json");
+        } else if (!std::strcmp(argv[i], "--trace") && machine_readable) {
+          o.trace_path = value("--trace");
+        } else if (!std::strcmp(argv[i], "--telemetry") && machine_readable) {
+          o.telemetry_path = value("--telemetry");
+        } else if (!std::strcmp(argv[i], "--spans") && machine_readable) {
+          o.spans_path = value("--spans");
+        } else if (!std::strcmp(argv[i], "--json") ||
+                   !std::strcmp(argv[i], "--trace") ||
+                   !std::strcmp(argv[i], "--telemetry") ||
+                   !std::strcmp(argv[i], "--spans")) {
+          std::fprintf(stderr, "%s: %s is not supported by this bench\n",
+                       argv[0], argv[i]);
+          std::exit(2);
+        } else if (!std::strcmp(argv[i], "--help")) {
+          std::printf(
+              "usage: %s [--n <log2 elements>] [--full] "
+              "[--device k40c|750ti|sol] [--trials k] [--host-threads k] "
+              "[--method <token|auto>]%s\n",
+              argv[0],
+              machine_readable
+                  ? " [--json <file>] [--trace <file>] [--telemetry <file>] "
+                    "[--spans <file>]"
+                  : "");
+          std::exit(0);
+        } else {
+          std::fprintf(stderr, "%s: unknown flag '%s' (try --help)\n",
+                       argv[0], argv[i]);
           std::exit(2);
         }
-        return argv[++i];
-      };
-      const auto count = [&](const char* flag, u32 lo, u32 hi) -> u32 {
-        const char* v = value(flag);
-        try {
-          return sim::parse_flag_in<u32>(flag, v, lo, hi);
-        } catch (const sim::UsageError& e) {
-          std::fprintf(stderr, "%s: usage error: %s\n", argv[0], e.what());
-          std::exit(2);
-        }
-      };
-      if (!std::strcmp(argv[i], "--n")) {
-        o.log2_n = count("--n", 0, 31);
-      } else if (!std::strcmp(argv[i], "--full")) {
-        o.full = true;
-        o.log2_n = paper_log2_n;
-      } else if (!std::strcmp(argv[i], "--device")) {
-        o.device = value("--device");
-        if (o.device != "k40c" && o.device != "750ti" &&
-            o.device != "gtx750ti" && o.device != "sol") {
-          std::fprintf(stderr,
-                       "%s: unknown device '%s' (expected k40c, 750ti or "
-                       "sol)\n",
-                       argv[0], o.device.c_str());
-          std::exit(2);
-        }
-      } else if (!std::strcmp(argv[i], "--trials")) {
-        o.trials = count("--trials", 1, UINT32_MAX);
-      } else if (!std::strcmp(argv[i], "--method")) {
-        const char* name = value("--method");
-        o.method = split::parse_method(name);
-        if (!o.method) {
-          std::fprintf(stderr,
-                       "%s: unknown method '%s' (try ms_cli --list)\n",
-                       argv[0], name);
-          std::exit(2);
-        }
-      } else if (!std::strcmp(argv[i], "--host-threads")) {
-        o.host_threads = count("--host-threads", 1, UINT32_MAX);
-        sim::set_default_host_threads(o.host_threads);
-      } else if (!std::strcmp(argv[i], "--json") && machine_readable) {
-        o.json_path = value("--json");
-      } else if (!std::strcmp(argv[i], "--trace") && machine_readable) {
-        o.trace_path = value("--trace");
-      } else if (!std::strcmp(argv[i], "--telemetry") && machine_readable) {
-        o.telemetry_path = value("--telemetry");
-      } else if (!std::strcmp(argv[i], "--spans") && machine_readable) {
-        o.spans_path = value("--spans");
-      } else if (!std::strcmp(argv[i], "--json") ||
-                 !std::strcmp(argv[i], "--trace") ||
-                 !std::strcmp(argv[i], "--telemetry") ||
-                 !std::strcmp(argv[i], "--spans")) {
-        std::fprintf(stderr, "%s: %s is not supported by this bench\n",
-                     argv[0], argv[i]);
-        std::exit(2);
-      } else if (!std::strcmp(argv[i], "--help")) {
-        std::printf(
-            "usage: %s [--n <log2 elements>] [--full] "
-            "[--device k40c|750ti|sol] [--trials k] [--host-threads k] "
-            "[--method <token|auto>]%s\n",
-            argv[0],
-            machine_readable
-                ? " [--json <file>] [--trace <file>] [--telemetry <file>] "
-                  "[--spans <file>]"
-                : "");
-        std::exit(0);
-      } else {
-        std::fprintf(stderr, "%s: unknown flag '%s' (try --help)\n", argv[0],
-                     argv[i]);
-        std::exit(2);
       }
+      // The environment variables every Device reads: a bad value is the
+      // same usage error as a bad flag, not an abort at the first Device.
+      sim::host_threads_from_env();
+      sim::sanitizer_from_env();
+    } catch (const sim::UsageError& e) {
+      std::fprintf(stderr, "%s: usage error: %s\n", argv[0], e.what());
+      std::exit(2);
     }
     return o;
   }

@@ -5,11 +5,14 @@
 // this traffic"), e.g. "warp_ms/postscan_scatter".  While a ScopedSite is
 // alive, every counter increment -- sectors, useful bytes, scatter replays,
 // bank-conflict slots, atomics -- is attributed to that site as well as to
-// the kernel totals.  Attribution is delta-based: the device snapshots the
-// running KernelEvents at every site transition and charges the difference
-// to the outgoing site, so the per-site slices *partition* the kernel's
-// totals exactly (anything outside an explicit scope lands on the reserved
-// site 0, "other"; end-of-kernel L2 writeback lands on "sim/l2_writeback").
+// the kernel totals.  Attribution is delta-based: the executing
+// CounterShard (shard.hpp) snapshots the running KernelEvents at every
+// site transition and charges the difference to the outgoing site, so the
+// per-site slices *partition* the kernel's totals exactly (anything
+// outside an explicit scope lands on the reserved site 0, "other";
+// end-of-kernel L2 writeback lands on "sim/l2_writeback").  Each kernel's
+// slices are folded into the device-lifetime SiteStats once, at
+// end_kernel, so Device::site_stats() is a plain const read.
 //
 // A *Stage* is the one stage-boundary hook: it brackets one algorithm
 // stage (a sequence of kernel launches, or host-side work that launches

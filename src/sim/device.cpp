@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "sim/flags.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/threadpool.hpp"
 
@@ -23,15 +24,17 @@ void set_default_host_threads(u32 threads) {
   g_host_threads_override.store(threads, std::memory_order_relaxed);
 }
 
+u32 host_threads_from_env() {
+  const char* env = std::getenv("MS_HOST_THREADS");
+  if (env == nullptr || *env == '\0') return 0;
+  return parse_flag_in<u32>("MS_HOST_THREADS", env, 1, kMaxHostThreads);
+}
+
 u32 default_host_threads() {
   const u32 o = g_host_threads_override.load(std::memory_order_relaxed);
   if (o != 0) return o;
-  if (const char* env = std::getenv("MS_HOST_THREADS"); env != nullptr && *env) {
-    const int v = std::atoi(env);
-    check(v >= 1, "MS_HOST_THREADS must be a positive integer");
-    return static_cast<u32>(v);
-  }
-  return ThreadPool::hardware_threads();
+  if (const u32 env = host_threads_from_env(); env != 0) return env;
+  return std::min(ThreadPool::hardware_threads(), kMaxHostThreads);
 }
 
 Device::Device(DeviceProfile profile)
@@ -39,27 +42,21 @@ Device::Device(DeviceProfile profile)
       l2_(profile_.l2_bytes, profile_.l2_ways, profile_.transaction_bytes),
       alloc_(profile_.transaction_bytes) {
   host_threads_ = default_host_threads();
-  sites_.push_back(SiteStats{"other", {}});  // SiteId 0 == kSiteOther
+  site_id("other");  // SiteId 0 == kSiteOther
   writeback_site_ = site_id("sim/l2_writeback");
   // MS_SANITIZE=memcheck,racecheck,initcheck (or "all") arms the sanitizer
   // on every device, in fail-fast mode, so an unmodified test suite can be
   // rerun under the sanitizers (the CTest sanitize_clean_suite entry).
-  if (const char* env = std::getenv("MS_SANITIZE"); env != nullptr && *env) {
-    const auto cfg = SanitizerConfig::parse(env);
-    check(cfg.has_value(), "MS_SANITIZE: unknown sanitizer tool name");
-    SanitizerConfig armed = *cfg;
-    armed.fail_fast = armed.any();
-    san_.configure(armed);
-  }
+  if (const auto cfg = sanitizer_from_env()) san_.configure(*cfg);
 }
 
 void Device::begin_kernel(std::string name) {
   check(!in_kernel_, "begin_kernel: a kernel is already executing");
   in_kernel_ = true;
-  current_ = KernelEvents{};
-  site_snapshot_ = KernelEvents{};
-  kernel_sites_.clear();
-  current_peak_smem_ = 0;
+  // Fresh accounting; attribution continues at the site active now.
+  const SiteId site = main_.current_site;
+  main_ = CounterShard{};
+  main_.current_site = site;
   current_name_ = std::move(name);
   // Launch span: one per kernel executed inside a request.  Opened here
   // (main thread) so kernel-body faults attach to it; end_kernel closes
@@ -74,31 +71,30 @@ void Device::begin_kernel(std::string name) {
 const KernelRecord& Device::end_kernel() {
   check(in_kernel_, "end_kernel: no kernel is executing");
   in_kernel_ = false;
-  flush_site_delta();
   // Stores become globally visible at kernel end: flush dirty L2 sectors.
   // The flushed write traffic is attributed to its own site so explicit
   // scatter sites keep only the transactions their lanes caused directly.
+  main_.flush_site_delta();
   const u64 writeback = l2_.flush_dirty();
   if (writeback > 0) {
-    const SiteId prev = current_site_;
-    current_site_ = writeback_site_;
-    current_.dram_write_tx += writeback;
-    flush_site_delta();
-    current_site_ = prev;
+    const SiteId prev = main_.set_site(writeback_site_);
+    main_.events.dram_write_tx += writeback;
+    main_.set_site(prev);
   }
 
   KernelRecord rec;
   rec.name = std::move(current_name_);
   current_name_.clear();
-  rec.events = current_;
+  rec.events = main_.events;
   rec.faulted = pending_fault_;
   pending_fault_ = false;
-  rec.peak_smem_bytes = current_peak_smem_;
-  std::sort(kernel_sites_.begin(), kernel_sites_.end(),
+  rec.peak_smem_bytes = main_.peak_smem;
+  rec.sites = std::move(main_.sites);
+  main_.sites.clear();
+  std::sort(rec.sites.begin(), rec.sites.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  rec.sites = std::move(kernel_sites_);
-  kernel_sites_.clear();
-  const CostBreakdown c = model_kernel_cost(current_, profile_);
+  for (const auto& [site, slice] : rec.sites) sites_[site].events += slice;
+  const CostBreakdown c = model_kernel_cost(rec.events, profile_);
   rec.time_ms = c.time_ms;
   rec.mem_time_ms = c.mem_time_ms;
   rec.issue_time_ms = c.issue_time_ms;
@@ -124,32 +120,6 @@ const KernelRecord& Device::end_kernel() {
   return records_.back();
 }
 
-void Device::record_fault(FaultContext ctx) {
-  if (CounterShard* sh = detail::t_shard; sh != nullptr) {
-    // Worker path: park in the item's shard, no shared state touched.
-    // Within one item the first fault wins (serial call order).  The
-    // span event parks alongside it and is forwarded at merge time only
-    // if this item's fault wins (lifetime_ms_ is stable mid-kernel, so
-    // the timestamp matches what the serial path would record).
-    if (!sh->fault.has_value()) {
-      if (spans_ != nullptr) {
-        sh->span_events.push_back(SpanEvent{lifetime_ms_, "fault", {}, ctx});
-      }
-      sh->fault = std::move(ctx);
-    }
-    return;
-  }
-  std::lock_guard<std::mutex> lock(fault_mu_);
-  // First-fault-wins per launch: once a fault of the current launch is
-  // pending, later ones are dropped (matching ascending-item merge order).
-  if (in_kernel_ && pending_fault_) return;
-  if (spans_ != nullptr) {
-    spans_->event(SpanEvent{lifetime_ms_, "fault", {}, ctx});
-  }
-  last_error_ = std::move(ctx);
-  if (in_kernel_) pending_fault_ = true;
-}
-
 ChaosEngine& Device::enable_chaos(const ChaosPolicy& policy) {
   if (chaos_ != nullptr) return *chaos_;
   chaos_ = std::make_unique<ChaosEngine>(policy, *this, res_stats_);
@@ -172,56 +142,19 @@ void Device::free_address_range(u64 base, u64 bytes) {
   alloc_.deallocate(base, bytes);
 }
 
-void Device::touch_read_sectors(u64 first_sector, u32 segments) {
-  if (CounterShard* sh = detail::t_shard; sh != nullptr) {
-    sh->events.l2_read_segments += segments;
-    sh->record_sectors(first_sector, segments, /*is_write=*/false);
+void Device::touch_sectors(u64 first_sector, u32 count, bool is_write) {
+  CounterShard& sh = shard();
+  (is_write ? sh.events.l2_write_segments : sh.events.l2_read_segments) +=
+      count;
+  if (&sh != &main_) {
+    sh.record_sectors(first_sector, count, is_write);
     return;
   }
-  current_.l2_read_segments += segments;
-  for (u32 s = 0; s < segments; ++s) {
-    const auto r = l2_.read(first_sector + s);
-    current_.dram_read_tx += r.dram_read_tx;
-    current_.dram_write_tx += r.dram_write_tx;
+  for (u64 s = first_sector; s < first_sector + count; ++s) {
+    const auto r = is_write ? l2_.write(s) : l2_.read(s);
+    main_.events.dram_read_tx += r.dram_read_tx;
+    main_.events.dram_write_tx += r.dram_write_tx;
   }
-}
-
-void Device::touch_write_sectors(u64 first_sector, u32 segments) {
-  if (CounterShard* sh = detail::t_shard; sh != nullptr) {
-    sh->events.l2_write_segments += segments;
-    sh->record_sectors(first_sector, segments, /*is_write=*/true);
-    return;
-  }
-  current_.l2_write_segments += segments;
-  for (u32 s = 0; s < segments; ++s) {
-    const auto r = l2_.write(first_sector + s);
-    current_.dram_read_tx += r.dram_read_tx;
-    current_.dram_write_tx += r.dram_write_tx;
-  }
-}
-
-void Device::touch_read_sector(u64 sector) {
-  if (CounterShard* sh = detail::t_shard; sh != nullptr) {
-    sh->events.l2_read_segments += 1;
-    sh->record_sectors(sector, 1, /*is_write=*/false);
-    return;
-  }
-  current_.l2_read_segments += 1;
-  const auto r = l2_.read(sector);
-  current_.dram_read_tx += r.dram_read_tx;
-  current_.dram_write_tx += r.dram_write_tx;
-}
-
-void Device::touch_write_sector(u64 sector) {
-  if (CounterShard* sh = detail::t_shard; sh != nullptr) {
-    sh->events.l2_write_segments += 1;
-    sh->record_sectors(sector, 1, /*is_write=*/true);
-    return;
-  }
-  current_.l2_write_segments += 1;
-  const auto r = l2_.write(sector);
-  current_.dram_read_tx += r.dram_read_tx;
-  current_.dram_write_tx += r.dram_write_tx;
 }
 
 TimingSummary Device::summary_since(u64 mark) const {
@@ -246,38 +179,11 @@ SiteId Device::site_id(std::string_view label) {
 }
 
 SiteId Device::set_site(SiteId site) {
-  if (CounterShard* sh = detail::t_shard; sh != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(site_mu_);
-      check(site < sites_.size(), "set_site: unregistered site id");
-    }
-    return sh->set_site(site);
+  {
+    std::lock_guard<std::mutex> lock(site_mu_);
+    check(site < sites_.size(), "set_site: unregistered site id");
   }
-  check(site < sites_.size(), "set_site: unregistered site id");
-  flush_site_delta();
-  const SiteId prev = current_site_;
-  current_site_ = site;
-  return prev;
-}
-
-const std::vector<SiteStats>& Device::site_stats() {
-  flush_site_delta();
-  return sites_;
-}
-
-void Device::flush_site_delta() {
-  const KernelEvents delta = current_ - site_snapshot_;
-  if (!(delta == KernelEvents{})) {
-    sites_[current_site_].events += delta;
-    auto it = std::find_if(kernel_sites_.begin(), kernel_sites_.end(),
-                           [&](const auto& p) { return p.first == current_site_; });
-    if (it == kernel_sites_.end()) {
-      kernel_sites_.emplace_back(current_site_, delta);
-    } else {
-      it->second += delta;
-    }
-  }
-  site_snapshot_ = current_;
+  return shard().set_site(site);
 }
 
 Device::~Device() = default;
@@ -394,6 +300,8 @@ Telemetry& Device::enable_telemetry() {
 
 void Device::set_host_threads(u32 threads) {
   check(!in_kernel_, "set_host_threads: kernel executing");
+  check(threads <= kMaxHostThreads,
+        "set_host_threads: more than kMaxHostThreads workers");
   host_threads_ = threads == 0 ? default_host_threads() : threads;
 }
 
@@ -418,7 +326,7 @@ void Device::run_items(u64 n, const std::function<void(u64)>& body) {
   sync_->done.assign(n, 0);
   // Items start attributing to the site active at launch entry, exactly
   // as the serial loop would.
-  const SiteId launch_site = current_site_;
+  const SiteId launch_site = main_.current_site;
   std::exception_ptr first_error;
   // Batching bounds the memory held by recorded sector streams; it cannot
   // change results (batches run back-to-back, merges stay in item order,
@@ -476,12 +384,17 @@ void Device::global_atomic_fence() {
   sh->fence_passed = true;
 }
 
-void Device::merge_shard(CounterShard& shard) {
-  shard.flush_site_delta();
-  for (const auto& [site, slice] : shard.sites) {
-    add_attributed(site, slice);
-  }
-  current_peak_smem_ = std::max(current_peak_smem_, shard.peak_smem);
+void Device::merge_shard(CounterShard& item) {
+  // Totals and snapshot move together, so a delta the device's own shard
+  // had pending before the launch stays pending for its own site.
+  const auto fold = [this](u32 site, const KernelEvents& delta) {
+    main_.events += delta;
+    main_.site_snapshot += delta;
+    main_.attribute(site, delta);
+  };
+  item.flush_site_delta();
+  for (const auto& [site, slice] : item.sites) fold(site, slice);
+  main_.peak_smem = std::max(main_.peak_smem, item.peak_smem);
   // Replay the item's sector stream through the real L2.  Replay order ==
   // merge order == item order == serial execution order, so every access
   // sees the exact cache state it would have seen serially and the
@@ -490,7 +403,7 @@ void Device::merge_shard(CounterShard& shard) {
   // integer sums give the same totals as attributing every op.
   merge_dram_.clear();
   std::size_t cur = 0;  // merge_dram_ entry of the previous op's site
-  for (const SectorOp& op : shard.sector_ops) {
+  for (const SectorOp& op : item.sector_ops) {
     u64 read_tx = 0;
     u64 write_tx = 0;
     for (u64 s = op.first_sector; s < op.first_sector + op.count; ++s) {
@@ -511,44 +424,12 @@ void Device::merge_shard(CounterShard& shard) {
     merge_dram_[cur].second.dram_write_tx += write_tx;
   }
   for (const auto& [site, d] : merge_dram_) {
-    if (!(d == KernelEvents{})) add_attributed(site, d);
+    if (!(d == KernelEvents{})) fold(site, d);
   }
-  for (FaultContext& r : shard.reports) {
+  for (FaultContext& r : item.reports) {
     san_.report(std::move(r));
   }
-  shard.reports.clear();
-  // Shard-parked record_fault: merges run in ascending item order, so the
-  // guard makes the lowest faulting item's context win -- the exact fault
-  // serial execution would have reported first.  Its parked span events
-  // are forwarded only on a win, matching the serial emission rule.
-  if (shard.fault.has_value()) {
-    std::lock_guard<std::mutex> lock(fault_mu_);
-    if (!pending_fault_) {
-      if (spans_ != nullptr) {
-        for (SpanEvent& ev : shard.span_events) spans_->event(std::move(ev));
-      }
-      last_error_ = std::move(*shard.fault);
-      pending_fault_ = true;
-    }
-    shard.fault.reset();
-  }
-  shard.span_events.clear();
-}
-
-void Device::add_attributed(SiteId site, const KernelEvents& delta) {
-  // Bump totals and snapshot together so any delta the *main* thread had
-  // pending before the launch stays pending and is attributed to its own
-  // site at the next flush.
-  current_ += delta;
-  site_snapshot_ += delta;
-  sites_[site].events += delta;
-  auto it = std::find_if(kernel_sites_.begin(), kernel_sites_.end(),
-                         [&](const auto& p) { return p.first == site; });
-  if (it == kernel_sites_.end()) {
-    kernel_sites_.emplace_back(site, delta);
-  } else {
-    it->second += delta;
-  }
+  item.reports.clear();
 }
 
 void Device::reset_stats() {
@@ -557,10 +438,7 @@ void Device::reset_stats() {
   records_.clear();
   regions_.clear();
   for (auto& s : sites_) s.events = KernelEvents{};
-  current_ = KernelEvents{};
-  site_snapshot_ = KernelEvents{};
-  kernel_sites_.clear();
-  current_site_ = kSiteOther;
+  main_ = CounterShard{};
 }
 
 }  // namespace ms::sim

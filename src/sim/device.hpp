@@ -1,5 +1,6 @@
 // The simulated device: owns the device profile, the L2 sector-cache model,
-// the per-kernel event counters and the log of executed kernels.
+// the per-kernel accounting (one CounterShard, see shard.hpp) and the log
+// of executed kernels.
 //
 // Kernels are executed host-side, warp by warp, between begin_kernel() /
 // end_kernel() brackets (use the launch_* helpers in kernel.hpp rather than
@@ -37,12 +38,20 @@ class ThreadPool;
 class Telemetry;
 struct TelemetryConfig;
 
+/// Upper bound on the simulator worker count from any source (flag,
+/// environment, set_host_threads): each worker is one OS thread.
+inline constexpr u32 kMaxHostThreads = 256;
+
 /// Process-wide default worker count for new Devices: an explicit value
 /// set here (e.g. from a --host-threads flag) wins over the
 /// MS_HOST_THREADS environment variable, which wins over the hardware
-/// concurrency.  0 clears the override.
+/// concurrency (capped at kMaxHostThreads).  0 clears the override.
 void set_default_host_threads(u32 threads);
 u32 default_host_threads();
+/// MS_HOST_THREADS parsed and checked (1..kMaxHostThreads), or 0 when it is
+/// unset or empty.  A malformed or out-of-range value is a UsageError
+/// naming the variable.
+u32 host_threads_from_env();
 
 class Device {
  public:
@@ -62,28 +71,18 @@ class Device {
   // --- sanitizer & structured faults (see sanitizer.hpp) ---
   Sanitizer& sanitizer() { return san_; }
   const Sanitizer& sanitizer() const { return san_; }
-  /// Record a fatal fault: parks it as last_error() and flags the kernel
-  /// record being finalized.  Called by the launch helpers' catch path
-  /// (main thread); the mutex makes the rare direct call from a foreign
-  /// thread safe too.
+  /// Record a fatal fault: parks it as last_error(), flags the kernel
+  /// record being finalized and attaches the fault to the innermost open
+  /// span (the launch span for aborted kernels).  Main thread only: the
+  /// launch helpers' catch path calls it after run_items has rethrown the
+  /// lowest faulting item's exception.
   void note_fault(const FaultContext& ctx) {
-    std::lock_guard<std::mutex> lock(fault_mu_);
     last_error_ = ctx;
     if (in_kernel_) pending_fault_ = true;
-    // Attach the fault to the innermost open span (the launch span for
-    // aborted kernels).  Main-thread calls only: worker-thread faults
-    // route through record_fault's shard channel instead.
-    if (spans_ != nullptr && detail::t_shard == nullptr) {
+    if (spans_ != nullptr) {
       spans_->event(SpanEvent{lifetime_ms_, "fault", {}, ctx});
     }
   }
-  /// Thread-safe, deterministic fault recording for kernel bodies.  On a
-  /// worker thread the fault parks in the executing item's shard and the
-  /// post-launch merge applies the LOWEST faulting item's context --
-  /// first-fault-wins in ascending item order, exactly the order serial
-  /// execution reports.  On the serial path (and between launches) it
-  /// applies the same rule directly: the first fault of a launch wins.
-  void record_fault(FaultContext ctx);
   /// The most recent fatal fault, if any (sticky, like cudaPeekAtLastError).
   const std::optional<FaultContext>& last_error() const { return last_error_; }
   /// Return and clear the sticky fault (the cudaGetLastError idiom).
@@ -107,34 +106,27 @@ class Device {
 
   // --- event recording (used by Warp/Block contexts) ---
   /// The counter sink of the executing context: the thread-local shard
-  /// while a parallel item runs on this thread, the kernel totals
-  /// otherwise (serial path, and host code between launches).
-  KernelEvents& events() {
-    CounterShard* sh = detail::t_shard;
-    return sh != nullptr ? sh->events : current_;
-  }
+  /// while a parallel item runs on this thread, the device's own shard
+  /// otherwise (serial path, and host code between launches).  Counters
+  /// charged between launches (a Warp driven outside any kernel) show up
+  /// here but belong to no KernelRecord and no site total; the next
+  /// begin_kernel clears them.
+  KernelEvents& events() { return shard().events; }
 
-  /// Record a warp-wide global read/write covering `segments` sectors
-  /// starting at `first_sector` (contiguous case).  Serial path: the
-  /// sectors go through the L2 model immediately.  Parallel path: they
-  /// are recorded in the item's shard and replayed through the L2 in
-  /// item order after the launch (see run_items).
-  void touch_read_sectors(u64 first_sector, u32 segments);
-  void touch_write_sectors(u64 first_sector, u32 segments);
-  /// Same, for an arbitrary (already deduplicated) sector list.
-  void touch_read_sector(u64 sector);
-  void touch_write_sector(u64 sector);
+  /// Record a warp-wide global read or write of `count` consecutive
+  /// sectors starting at `first_sector` (count 1 for each sector of an
+  /// already deduplicated scatter).  Serial path: the sectors go through
+  /// the L2 model immediately.  Parallel path: they are recorded in the
+  /// item's shard and replayed through the L2 in item order after the
+  /// launch (see run_items).
+  void touch_sectors(u64 first_sector, u32 count, bool is_write);
 
   /// Record a block's shared-memory footprint (called by Block::shared);
   /// the maximum across the kernel's blocks lands in
   /// KernelRecord::peak_smem_bytes for the occupancy proxy.
   void note_smem_usage(u32 bytes) {
-    CounterShard* sh = detail::t_shard;
-    if (sh != nullptr) {
-      sh->peak_smem = std::max(sh->peak_smem, bytes);
-    } else {
-      current_peak_smem_ = std::max(current_peak_smem_, bytes);
-    }
+    CounterShard& sh = shard();
+    sh.peak_smem = std::max(sh.peak_smem, bytes);
   }
 
   // --- parallel block scheduler (used by the launch helpers) ---
@@ -142,8 +134,9 @@ class Device {
   /// warp chunks); 1 = the serial path.  Defaults to
   /// default_host_threads() at construction.
   u32 host_threads() const { return host_threads_; }
-  /// Set the worker count (0 = reset to the process default).  Takes
-  /// effect at the next launch; must not be called mid-kernel.
+  /// Set the worker count (0 = reset to the process default; at most
+  /// kMaxHostThreads).  Takes effect at the next launch; must not be
+  /// called mid-kernel.
   void set_host_threads(u32 threads);
 
   /// Execute body(item) for items [0, n), concurrently when
@@ -186,11 +179,12 @@ class Device {
   SiteId set_site(SiteId site);
   SiteId current_site() const {
     const CounterShard* sh = detail::t_shard;
-    return sh != nullptr ? sh->current_site : current_site_;
+    return sh != nullptr ? sh->current_site : main_.current_site;
   }
-  /// Accumulated per-site counters across all recorded kernels (pending
-  /// deltas are flushed first).  Index == SiteId.
-  const std::vector<SiteStats>& site_stats();
+  /// Accumulated per-site counters across all recorded kernels: each
+  /// kernel's slices are folded in at its end_kernel, so the totals always
+  /// equal the sum of the kernel log.  Index == SiteId.
+  const std::vector<SiteStats>& site_stats() const { return sites_; }
 
   // --- profiled regions (stage bands; see counters.hpp) ---
   const std::vector<RegionRecord>& regions() const { return regions_; }
@@ -278,17 +272,18 @@ class Device {
   }
 
  private:
-  /// Attribute `current_ - site_snapshot_` to the current site.
-  void flush_site_delta();
+  /// The accounting context of the calling thread: the item shard armed by
+  /// run_items on a worker, the device's own shard otherwise.
+  CounterShard& shard() {
+    CounterShard* sh = detail::t_shard;
+    return sh != nullptr ? *sh : main_;
+  }
 
-  /// Fold one completed item's shard into the device state: per-site
-  /// counter slices, peak shared memory, the L2 sector-stream replay and
-  /// the deferred sanitizer reports.  Must be called in ascending item
-  /// order (the replay reproduces the serial L2 access sequence).
-  void merge_shard(CounterShard& shard);
-  /// Add a counter delta to the kernel totals and to `site`'s slices,
-  /// keeping the site-snapshot invariant (no pending delta afterwards).
-  void add_attributed(SiteId site, const KernelEvents& delta);
+  /// Fold one completed item's shard into the device's own shard: counter
+  /// slices, peak shared memory, the L2 sector-stream replay and the
+  /// deferred sanitizer reports.  Must be called in ascending item order
+  /// (the replay reproduces the serial L2 access sequence).
+  void merge_shard(CounterShard& item);
 
   /// Cross-item synchronization of one parallel launch (the
   /// completed-prefix fence global_atomic_fence waits on).
@@ -303,30 +298,23 @@ class Device {
   SectorCache l2_;
   Sanitizer san_;
   std::optional<FaultContext> last_error_;
-  /// Guards last_error_ / pending_fault_ against record_fault from
-  /// foreign threads (worker-thread faults normally route via shards).
-  std::mutex fault_mu_;
   bool pending_fault_ = false;
-  KernelEvents current_;
+  /// Accounting of the kernel currently executing (of the last one between
+  /// launches); item shards are merged into it in ascending item order.
+  CounterShard main_;
   std::string current_name_;
-  u32 current_peak_smem_ = 0;
   bool in_kernel_ = false;
   CachingAllocator alloc_;  // initialized from profile_.transaction_bytes
   std::vector<KernelRecord> records_;
   std::vector<RegionRecord> regions_;
 
   std::vector<SiteStats> sites_;
-  SiteId current_site_ = kSiteOther;
   SiteId writeback_site_ = 0;  // set in the constructor
-  KernelEvents site_snapshot_;
-  /// Site slices of the kernel currently executing (moved into its
-  /// KernelRecord at end_kernel).
-  std::vector<std::pair<u32, KernelEvents>> kernel_sites_;
   /// merge_shard's per-site DRAM sums (kept to reuse its storage).
   std::vector<std::pair<u32, KernelEvents>> merge_dram_;
 
-  /// Guards site_id registration (kernel bodies may register labels from
-  /// worker threads; the table itself is only read during execution).
+  /// Guards the site table's size: kernel bodies may register labels from
+  /// worker threads while others validate ids in set_site.
   std::mutex site_mu_;
 
   u32 host_threads_ = 1;

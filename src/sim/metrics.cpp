@@ -152,8 +152,17 @@ DerivedMetrics derive_run_metrics(const KernelEvents& ev, f64 time_ms,
 
 namespace {
 
-void run_rules(MetricsReport& rep, const DeviceProfile& p,
-               const RuleThresholds& th) {
+// Firing thresholds of the rules engine (percent).
+constexpr f64 kOverfetchPct = 25.0;         // unrequested share of bytes
+constexpr f64 kSiteTrafficSharePct = 10.0;  // min site share of traffic
+constexpr f64 kBankConflictSlotPct = 20.0;
+constexpr f64 kScatterReplaySlotPct = 20.0;
+constexpr f64 kLaunchOverheadPct = 25.0;
+constexpr f64 kActiveLanePct = 60.0;        // below: divergence warning
+constexpr f64 kAtomicConflictPct = 50.0;
+constexpr f64 kSmemOccupancyPct = 50.0;     // below: occupancy warning
+
+void run_rules(MetricsReport& rep, const DeviceProfile& p) {
   auto add = [&](const char* rule, Diagnosis::Severity sev, std::string scope,
                  f64 value, std::string msg) {
     rep.diagnoses.push_back(
@@ -201,7 +210,7 @@ void run_rules(MetricsReport& rep, const DeviceProfile& p,
   for (const auto& s : rep.sites) {
     const f64 share = pct(s.metrics.sector_bytes, agg.sector_bytes);
     const f64 unrequested = 100.0 - s.metrics.coalescing_pct;
-    if (share >= th.site_traffic_share && unrequested > th.overfetch_pct) {
+    if (share >= kSiteTrafficSharePct && unrequested > kOverfetchPct) {
       site_fired = true;
       add("dram-overfetch", overfetch_sev, "site:" + s.label, unrequested,
           strf("%.0f%% of bytes moved at site '%s' were never requested "
@@ -212,7 +221,7 @@ void run_rules(MetricsReport& rep, const DeviceProfile& p,
                share));
     }
   }
-  if (!site_fired && 100.0 - agg.coalescing_pct > th.overfetch_pct) {
+  if (!site_fired && 100.0 - agg.coalescing_pct > kOverfetchPct) {
     add("dram-overfetch", overfetch_sev, "run", 100.0 - agg.coalescing_pct,
         strf("%.0f%% of all moved bytes were never requested (over-fetch "
              "%.1fx) -- accesses are poorly coalesced",
@@ -222,7 +231,7 @@ void run_rules(MetricsReport& rep, const DeviceProfile& p,
   // Rule: bank-conflict-replays.  Serialized shared-memory banks eating a
   // large share of weighted issue slots; critical when the run is actually
   // issue-bound (they sit on the critical path).
-  if (agg.bank_conflict_slot_pct >= th.bank_conflict_slot_pct) {
+  if (agg.bank_conflict_slot_pct >= kBankConflictSlotPct) {
     const char* worst = nullptr;
     u64 worst_extra = 0;
     for (const auto& s : rep.sites) {
@@ -249,7 +258,7 @@ void run_rules(MetricsReport& rep, const DeviceProfile& p,
 
   // Rule: scatter-replays.  Non-coalesced global accesses burning issue
   // slots in replays.
-  if (agg.scatter_replay_slot_pct >= th.scatter_replay_slot_pct) {
+  if (agg.scatter_replay_slot_pct >= kScatterReplaySlotPct) {
     const char* worst = nullptr;
     u64 worst_replays = 0;
     for (const auto& s : rep.sites) {
@@ -270,7 +279,7 @@ void run_rules(MetricsReport& rep, const DeviceProfile& p,
   }
 
   // Rule: launch-overhead.  Fixed per-launch cost dominating small inputs.
-  if (agg.launch_overhead_pct >= th.launch_overhead_pct) {
+  if (agg.launch_overhead_pct >= kLaunchOverheadPct) {
     add("launch-overhead",
         agg.launch_overhead_pct > 50.0 ? Diagnosis::Severity::kCritical
                                        : Diagnosis::Severity::kWarning,
@@ -288,7 +297,7 @@ void run_rules(MetricsReport& rep, const DeviceProfile& p,
   // mask-carrying instructions.
   for (const auto& g : rep.kernels) {
     if (g.events.simt_insts == 0) continue;
-    if (g.metrics.active_lane_pct < th.active_lane_pct) {
+    if (g.metrics.active_lane_pct < kActiveLanePct) {
       add("warp-divergence", Diagnosis::Severity::kWarning,
           "kernel:" + g.name, g.metrics.active_lane_pct,
           strf("kernel '%s' averages %.0f%% active lanes per SIMT "
@@ -300,7 +309,7 @@ void run_rules(MetricsReport& rep, const DeviceProfile& p,
 
   // Rule: atomic-contention.  Serialized atomics on hot addresses.
   if (rep.events.atomic_ops > 0 &&
-      agg.atomic_conflict_pct >= th.atomic_conflict_pct) {
+      agg.atomic_conflict_pct >= kAtomicConflictPct) {
     add("atomic-contention", Diagnosis::Severity::kWarning, "run",
         agg.atomic_conflict_pct,
         strf("%.0f%% of atomic operations conflicted on the same address -- "
@@ -312,7 +321,7 @@ void run_rules(MetricsReport& rep, const DeviceProfile& p,
   // shared memory caps resident blocks well below the device ceiling.
   for (const auto& g : rep.kernels) {
     if (g.peak_smem_bytes == 0) continue;
-    if (g.metrics.smem_occupancy_pct < th.smem_occupancy_pct) {
+    if (g.metrics.smem_occupancy_pct < kSmemOccupancyPct) {
       add("smem-occupancy", Diagnosis::Severity::kWarning, "kernel:" + g.name,
           g.metrics.smem_occupancy_pct,
           strf("kernel '%s' allocates %u B shared memory per block, "
@@ -334,7 +343,7 @@ void run_rules(MetricsReport& rep, const DeviceProfile& p,
 
 }  // namespace
 
-MetricsReport analyze_device(Device& dev, const RuleThresholds& th) {
+MetricsReport analyze_device(const Device& dev) {
   const DeviceProfile& p = dev.profile();
   MetricsReport rep;
   rep.device = p.name;
@@ -383,7 +392,7 @@ MetricsReport analyze_device(Device& dev, const RuleThresholds& th) {
     rep.sites.push_back(std::move(sm));
   }
 
-  run_rules(rep, p, th);
+  run_rules(rep, p);
   return rep;
 }
 

@@ -14,9 +14,10 @@
 //                           and a shared-memory-limited occupancy proxy.
 //   2. MetricsReport     -- analyze_device() rolls a Device's kernel log
 //                           into per-kernel-group, per-site and aggregate
-//                           metrics, then runs a rules engine that emits
-//                           severity-ranked Diagnosis entries ("DRAM-bound,
-//                           38% of moved bytes unrequested at site X").
+//                           metrics, then runs a rules engine with fixed
+//                           thresholds that emits severity-ranked
+//                           Diagnosis entries ("DRAM-bound, 38% of moved
+//                           bytes unrequested at site X").
 //   3. diff_reports      -- the run-diff regression tool: structurally
 //                           compares two JSON profile reports (ms_cli or
 //                           bench --json output) value by value, matching
@@ -25,8 +26,9 @@
 //                           relative tolerance.  `ms_cli diff` is a thin
 //                           shell around it.
 //
-// Everything here is read-only over the recorded events: computing metrics
-// never changes modeled times (the table5 baseline stays bit-identical).
+// Everything here is read-only over the recorded events (analyze_device
+// takes a const Device&): computing metrics never changes modeled times
+// (the table5 baseline stays bit-identical).
 #pragma once
 
 #include <string>
@@ -163,18 +165,6 @@ struct Diagnosis {
 };
 const char* to_string(Diagnosis::Severity s);
 
-/// Tunable firing thresholds of the rules engine (percent unless noted).
-struct RuleThresholds {
-  f64 overfetch_pct = 25.0;        // unrequested share of moved bytes
-  f64 site_traffic_share = 10.0;   // a site must carry this much traffic
-  f64 bank_conflict_slot_pct = 20.0;
-  f64 scatter_replay_slot_pct = 20.0;
-  f64 launch_overhead_pct = 25.0;
-  f64 active_lane_pct = 60.0;      // below: divergence warning
-  f64 atomic_conflict_pct = 50.0;
-  f64 smem_occupancy_pct = 50.0;   // below: occupancy warning
-};
-
 /// Per-kernel-name aggregate (all launches of "warp_ms_prescan" fold into
 /// one group, in first-launch order).
 struct KernelGroupMetrics {
@@ -210,9 +200,8 @@ struct MetricsReport {
 };
 
 /// Roll the device's kernel log and site table into a MetricsReport and
-/// run the rules engine.  Non-const for the same reason as site_stats():
-/// pending per-site deltas are flushed first.
-MetricsReport analyze_device(Device& dev, const RuleThresholds& th = {});
+/// run the rules engine (fixed thresholds, see metrics.cpp).
+MetricsReport analyze_device(const Device& dev);
 
 /// Human-readable report (the `ms_cli metrics` output).
 std::string format_metrics(const MetricsReport& rep);

@@ -1,7 +1,9 @@
 #include "sim/sanitizer.hpp"
 
+#include <cstdlib>
 #include <sstream>
 
+#include "sim/flags.hpp"
 #include "sim/shard.hpp"
 
 namespace ms::sim {
@@ -74,6 +76,19 @@ std::optional<SanitizerConfig> SanitizerConfig::parse(std::string_view csv) {
     if (comma == std::string_view::npos) break;
     pos = comma + 1;
   }
+  return cfg;
+}
+
+std::optional<SanitizerConfig> sanitizer_from_env() {
+  const char* env = std::getenv("MS_SANITIZE");
+  if (env == nullptr || *env == '\0') return std::nullopt;
+  std::optional<SanitizerConfig> cfg = SanitizerConfig::parse(env);
+  if (!cfg) {
+    throw UsageError(std::string("invalid value '") + env +
+                     "' for MS_SANITIZE (expected memcheck,racecheck,"
+                     "initcheck or all|none)");
+  }
+  cfg->fail_fast = cfg->any();
   return cfg;
 }
 

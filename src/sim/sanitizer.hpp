@@ -118,6 +118,11 @@ struct SanitizerConfig {
   static std::optional<SanitizerConfig> parse(std::string_view csv);
 };
 
+/// MS_SANITIZE parsed into a fail-fast config (fail_fast set when any tool
+/// is armed), or nullopt when the variable is unset or empty.  An unknown
+/// tool name is a UsageError naming the variable.
+std::optional<SanitizerConfig> sanitizer_from_env();
+
 /// Per-element valid bits of one DeviceBuffer (initcheck shadow state).
 /// Registered at buffer construction; the buffer caches the pointer so the
 /// hot paths never pay a map lookup (entries are node-stable).

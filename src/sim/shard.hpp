@@ -1,30 +1,33 @@
-// Per-item counter shard for the parallel block scheduler.
+// Per-kernel accounting context: the counter sink of serial execution and
+// of each parallel item.
 //
-// When a kernel's blocks (or warp chunks) execute concurrently, they must
-// not touch the Device's shared accounting state: the KernelEvents
-// totals, the per-site attribution snapshots, the order-dependent L2
-// model and the sanitizer report sink are all single-writer structures.
-// Instead, each scheduled item runs with a thread-local CounterShard
-// armed (t_shard below); every Device::events() increment, site
-// transition, sector touch and sanitizer report lands in the shard.
-// After the launch the shards are merged in ascending item order, which
-// reproduces the serial execution order exactly -- see
-// Device::merge_shard for the determinism argument.
+// CounterShard is the one piece of per-kernel accumulation state in the
+// simulator: the KernelEvents totals, the delta-based per-site attribution,
+// the peak shared-memory footprint and, on an item shard, the deferred
+// sanitizer reports.  The Device owns one shard of its own, which the serial
+// path (and host code between launches) writes directly.  When a kernel's
+// blocks (or warp chunks) execute concurrently, each scheduled item instead
+// runs with a thread-local shard of its own armed (t_shard below), so every
+// Device::events() increment, site transition, sector touch and sanitizer
+// report lands there.  After the launch the item shards are folded into the
+// Device's shard in ascending item order, which reproduces the serial
+// execution order exactly -- see Device::merge_shard for the determinism
+// argument.
 //
 // The L2 is the one piece that cannot be sharded (its LRU state makes
 // every access's hit/miss outcome depend on all earlier accesses
-// device-wide), so shards *record* their 32-byte sector streams as
+// device-wide), so item shards *record* their 32-byte sector streams as
 // run-length-encoded SectorOp entries and the merge replays them
-// serially through the real cache model.
+// serially through the real cache model; the Device's own shard sends
+// its touches straight into the L2.
 #pragma once
 
-#include <optional>
+#include <exception>
 #include <utility>
 #include <vector>
 
 #include "sim/events.hpp"
 #include "sim/sanitizer.hpp"
-#include "sim/span.hpp"
 #include "sim/types.hpp"
 
 namespace ms::sim {
@@ -40,12 +43,11 @@ struct SectorOp {
   bool is_write = false;
 };
 
-/// Accounting state of one scheduled item (one block, or one chunk of
-/// warps).  Mirrors the Device's per-kernel accumulation machinery:
-/// `events` plays the role of Device::current_, `site_snapshot` /
-/// `current_site` / `sites` implement the same delta-based per-site
-/// attribution, `sector_ops` stands in for the L2 and `reports` for the
-/// sanitizer sink.
+/// Accounting state of one execution context: the Device's own per-kernel
+/// totals, or one scheduled item (one block, or one chunk of warps).
+/// `site_snapshot` / `current_site` / `sites` implement the delta-based
+/// per-site attribution; on an item shard `sector_ops` stands in for the
+/// L2 and `reports` for the sanitizer sink.
 struct CounterShard {
   u64 item_id = 0;
   KernelEvents events;
@@ -57,15 +59,6 @@ struct CounterShard {
   u32 peak_smem = 0;
   std::vector<SectorOp> sector_ops;
   std::vector<FaultContext> reports;
-  /// First fault this item recorded via Device::record_fault (not thrown;
-  /// the body kept running).  The merge applies the lowest faulting
-  /// item's context -- deterministic first-fault-wins (see record_fault).
-  std::optional<FaultContext> fault;
-  /// Span events parked by this item (the fault above, when span tracing
-  /// is on).  Forwarded to the recorder at merge time only when the
-  /// item's fault wins, so serial and parallel runs attach the exact
-  /// same events in the exact same order.
-  std::vector<SpanEvent> span_events;
   /// Fatal exception raised by this item's body (SimError or any other);
   /// the item's partial counters up to the throw are kept.
   std::exception_ptr error;
@@ -73,21 +66,21 @@ struct CounterShard {
   /// completed-prefix fence (later atomics skip the wait).
   bool fence_passed = false;
 
-  /// Attribute `events - site_snapshot` to the current site (the same
-  /// algorithm as Device::flush_site_delta, scoped to this shard).
-  void flush_site_delta() {
-    const KernelEvents delta = events - site_snapshot;
-    if (!(delta == KernelEvents{})) {
-      auto it = sites.begin();
-      for (; it != sites.end(); ++it) {
-        if (it->first == current_site) break;
-      }
-      if (it == sites.end()) {
-        sites.emplace_back(current_site, delta);
-      } else {
-        it->second += delta;
+  /// Add `delta` to `site`'s slice (the slice is created on first use).
+  void attribute(u32 site, const KernelEvents& delta) {
+    for (auto& [s, slice] : sites) {
+      if (s == site) {
+        slice += delta;
+        return;
       }
     }
+    sites.emplace_back(site, delta);
+  }
+
+  /// Attribute `events - site_snapshot` to the current site.
+  void flush_site_delta() {
+    const KernelEvents delta = events - site_snapshot;
+    if (!(delta == KernelEvents{})) attribute(current_site, delta);
     site_snapshot = events;
   }
 

@@ -15,11 +15,11 @@
 // FaultContext.
 //
 // Determinism: every span open/close point sits on the main thread
-// (begin_kernel/end_kernel, Request, run_attempt, Stage),
-// and the only worker-thread producers -- kernel-body faults under the
-// parallel block scheduler -- park their events in the per-item
-// CounterShard and are merged in ascending item order, exactly like the
-// counters (shard.hpp).  The JSONL dump therefore contains modeled
+// (begin_kernel/end_kernel, Request, run_attempt, Stage), and so does
+// every event: a kernel-body fault under the parallel block scheduler is
+// rethrown on the main thread (the lowest faulting item's, exactly the
+// fault serial execution hits first) and recorded there by
+// Device::note_fault.  The JSONL dump therefore contains modeled
 // values only and is byte-identical between serial and multi-threaded
 // runs (test_span.cpp).  Host wall-clock per span is kept in memory for
 // interactive inspection but never written to the deterministic dump.

@@ -53,9 +53,9 @@ void counter_event(JsonWriter& w, const char* name, f64 ts_us) {
 
 }  // namespace
 
-void write_chrome_trace(Device& dev, std::ostream& os) {
+void write_chrome_trace(const Device& dev, std::ostream& os) {
   const auto& records = dev.records();
-  const auto& sites = dev.site_stats();  // flushes pending deltas; id -> label
+  const auto& sites = dev.site_stats();  // id -> label
   const DeviceProfile& prof = dev.profile();
 
   // Modeled start time of each kernel (and the end of the last), in us.
@@ -321,7 +321,7 @@ void write_chrome_trace(Device& dev, std::ostream& os) {
   w.end_object();
 }
 
-bool write_chrome_trace_file(Device& dev, const std::string& path) {
+bool write_chrome_trace_file(const Device& dev, const std::string& path) {
   std::ofstream os(path);
   if (!os) return false;
   write_chrome_trace(dev, os);

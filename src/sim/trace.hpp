@@ -13,7 +13,8 @@
 // plus counter tracks ("ph":"C") for cumulative DRAM transactions and the
 // per-kernel achieved bandwidth.  Timestamps are microseconds (the trace
 // format's native unit); kernel slices are laid end to end, so the sum of
-// their durations equals Device::total_ms().
+// their durations equals Device::total_ms().  Export only reads the
+// device (site labels come from the const Device::site_stats()).
 #pragma once
 
 #include <iosfwd>
@@ -23,12 +24,11 @@ namespace ms::sim {
 
 class Device;
 
-/// Write the trace JSON for everything `dev` has recorded.  Non-const
-/// because pending per-site deltas are flushed into the site table first.
-void write_chrome_trace(Device& dev, std::ostream& os);
+/// Write the trace JSON for everything `dev` has recorded.
+void write_chrome_trace(const Device& dev, std::ostream& os);
 
 /// Convenience file variant; returns false (and writes nothing) when the
 /// file cannot be opened.
-bool write_chrome_trace_file(Device& dev, const std::string& path);
+bool write_chrome_trace_file(const Device& dev, const std::string& path);
 
 }  // namespace ms::sim

@@ -474,11 +474,7 @@ class Warp {
     const u32 lines = static_cast<u32>(addr_hi / line - addr_lo / line + 1);
     account<kIsWrite>(lines,
                       static_cast<u64>(std::popcount(active)) * sizeof(T));
-    if constexpr (kIsWrite) {
-      dev_->touch_write_sectors(first, segments);
-    } else {
-      dev_->touch_read_sectors(first, segments);
-    }
+    dev_->touch_sectors(first, segments, kIsWrite);
   }
 
   /// Charge an arbitrary-address access.
@@ -533,11 +529,7 @@ class Warp {
     account<kIsWrite>(lines,
                       static_cast<u64>(std::popcount(active)) * sizeof(T));
     for (u32 s = 0; s < segments; ++s) {
-      if constexpr (kIsWrite) {
-        dev_->touch_write_sector(sectors[s]);
-      } else {
-        dev_->touch_read_sector(sectors[s]);
-      }
+      dev_->touch_sectors(sectors[s], 1, kIsWrite);
     }
   }
 

@@ -521,34 +521,6 @@ TEST(PlanFault, ResilientRunAfterFaultKeepsPooledScratchClean) {
                           RangeBucket{m}, /*stable=*/true);
 }
 
-// ---------------- first-fault-wins under the parallel scheduler (satellite)
-
-TEST(FaultRecord, FirstFaultWinsInAscendingItemOrder) {
-  sim::Device dev;
-  sim::DeviceBuffer<u32> buf(dev, 16 * kWarpSize, "fault_record.buf");
-  buf.fill(0);
-  sim::launch_warps(dev, "faulting_kernel", 16, [&](sim::Warp& w, u64 wid) {
-    if (wid == 3 || wid == 7 || wid == 11) {
-      sim::FaultContext ctx;
-      ctx.kind = FaultKind::kGlobalOOB;
-      ctx.kernel = "faulting_kernel";
-      ctx.object = "fault_record.buf";
-      ctx.index = wid;
-      ctx.detail = "synthetic non-fatal fault";
-      dev.record_fault(std::move(ctx));
-    }
-    w.store(buf, wid * kWarpSize, LaneArray<u32>::filled(1u));
-  });
-  // Whether the 16 warps ran serially or on 4 worker threads, the lowest
-  // faulting item's context must win (merge order is ascending).
-  const auto err = dev.take_last_error();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->index, 3u);
-  EXPECT_FALSE(dev.take_last_error().has_value()) << "error not consumed";
-  // The launch itself completed: every warp stored its lane values.
-  EXPECT_EQ(buf[15 * kWarpSize], 1u);
-}
-
 // ------------------------------------------------- metrics integration
 
 TEST(ChaosMetrics, ResilienceStatsFlowIntoTheReport) {

@@ -310,6 +310,30 @@ TEST(Stage, HostOnlyStageInTracedRequestOpensOneSpanAndNoBand) {
   EXPECT_EQ(trace.str().find("\"cat\":\"stage\""), std::string::npos);
 }
 
+TEST(SiteAttribution, ChargesOutsideAKernelStayOutOfTheSiteTotals) {
+  Device dev;
+  DeviceBuffer<u32> buf(dev, 1024);
+  device_fill<u32>(dev, buf, 1);
+  const KernelEvents fill = dev.records()[0].events;
+  const SiteId site = dev.site_id("test/between_launches");
+  {
+    // A Warp driven outside any kernel (as the lane micro-benchmarks do):
+    // its charges show in events() but belong to no KernelRecord.
+    Warp w(dev, 0);
+    ScopedSite scope(dev, site);
+    w.charge(5);
+  }
+  EXPECT_EQ(dev.events().issue_slots, fill.issue_slots + 5);
+  EXPECT_EQ(dev.site_stats()[site].events, KernelEvents{});
+  expect_exact_partition(dev);
+  // The next launch starts from zero, not from the stray charges.
+  device_fill<u32>(dev, buf, 2);
+  ASSERT_EQ(dev.records().size(), 2u);
+  EXPECT_EQ(dev.records()[1].events.issue_slots, fill.issue_slots);
+  EXPECT_EQ(dev.site_stats()[site].events, KernelEvents{});
+  expect_exact_partition(dev);
+}
+
 TEST(SiteAttribution, ResetStatsZeroesCountersKeepsLabels) {
   Device dev;
   const SiteId site = dev.site_id("sticky");

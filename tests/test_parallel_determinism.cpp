@@ -33,7 +33,7 @@ void dump_events(std::ostream& os, const sim::KernelEvents& e) {
 /// Everything modeled, as one diffable string: the kernel log (names,
 /// counters, per-site slices, exact modeled times), the device-lifetime
 /// per-site totals, and the derived-metrics JSON report.
-std::string snapshot(sim::Device& dev) {
+std::string snapshot(const sim::Device& dev) {
   std::ostringstream os;
   os.precision(17);
   for (const auto& r : dev.records()) {
@@ -119,10 +119,13 @@ TEST_P(ParallelDeterminism, SerialVsFourThreadsSanitized) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, ParallelDeterminism,
-                         ::testing::Values(Method::kWarpLevel,
+                         ::testing::Values(Method::kDirect,
+                                           Method::kWarpLevel,
                                            Method::kBlockLevel,
+                                           Method::kRecursiveScanSplit,
                                            Method::kReducedBitSort,
-                                           Method::kRandomizedInsertion),
+                                           Method::kRandomizedInsertion,
+                                           Method::kFusedBucketSort),
                          [](const auto& info) {
                            std::string name;
                            for (const char c : to_string(info.param)) {
@@ -211,6 +214,19 @@ TEST(ParallelAtomics, OddThreadCountsMatchSerial) {
     EXPECT_EQ(serial.snapshot, mt.snapshot) << threads << " threads";
     EXPECT_EQ(serial.out, mt.out) << threads << " threads";
   }
+}
+
+/// Each worker is one OS thread, so the count is capped.  The check fires
+/// before any pool exists: nothing here launches a kernel.
+TEST(HostThreads, SetHostThreadsRejectsMoreThanTheCap) {
+  sim::Device dev;
+  dev.set_host_threads(2);
+  EXPECT_THROW(dev.set_host_threads(sim::kMaxHostThreads + 1),
+               std::logic_error);
+  EXPECT_EQ(dev.host_threads(), 2u);
+  dev.set_host_threads(sim::kMaxHostThreads);
+  EXPECT_EQ(dev.host_threads(), sim::kMaxHostThreads);
+  EXPECT_LE(sim::default_host_threads(), sim::kMaxHostThreads);
 }
 
 }  // namespace

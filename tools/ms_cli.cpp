@@ -67,6 +67,7 @@ const std::map<std::string, workload::Distribution> kDists = {
 };
 
 using sim::parse_flag;
+using sim::parse_flag_in;
 using sim::UsageError;
 
 void usage(const char* argv0) {
@@ -89,10 +90,10 @@ void usage(const char* argv0) {
       "  --nw <warps>          warps per block (default 8)\n"
       "  --ipt <items>         items per thread, warp methods (default 1)\n"
       "  --seed <u64>          workload seed\n"
-      "  --host-threads <k>    simulator worker threads (default: "
-      "MS_HOST_THREADS\n"
-      "                        or the hardware concurrency; modeled results\n"
-      "                        are identical for every k)\n"
+      "  --host-threads <k>    simulator worker threads, at most 256 "
+      "(default:\n"
+      "                        MS_HOST_THREADS or the hardware concurrency;\n"
+      "                        modeled results are identical for every k)\n"
       "  --sites               print per-access-site counters\n"
       "  --sanitize <tools>    memcheck,racecheck,initcheck (or all|none)\n"
       "  --json <file>         write a machine-readable report\n"
@@ -1001,7 +1002,8 @@ int run_cli(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--ipt")) a.ipt = parse_flag<u32>("--ipt", next());
     else if (!std::strcmp(argv[i], "--seed")) a.seed = parse_flag<u64>("--seed", next());
     else if (!std::strcmp(argv[i], "--host-threads")) {
-      sim::set_default_host_threads(parse_flag<u32>("--host-threads", next()));
+      sim::set_default_host_threads(parse_flag_in<u32>(
+          "--host-threads", next(), 0, sim::kMaxHostThreads));
     }
     else if (!std::strcmp(argv[i], "--sites")) a.sites = true;
     else if (!std::strcmp(argv[i], "--sanitize")) a.sanitize = next();
