@@ -82,8 +82,11 @@ class SectorCache {
   /// Attach/detach the fault-injection engine (Device::enable_chaos).
   /// When set, every dirty-sector writeback (eviction or flush) gives the
   /// engine a chance to corrupt the written-back range.  The writeback
-  /// stream is identical serial vs replayed-parallel (PR 4), so injections
-  /// here stay deterministic at any thread count.
+  /// stream is identical serial vs replayed-parallel, so the draws are
+  /// too.  A scramble writes buffer memory that kernel items read, so with
+  /// an engine attached Device::run_items replays a batch of items only
+  /// once all of them have completed, never while any still runs; the
+  /// injections then stay deterministic at any thread count.
   void set_chaos(ChaosEngine* chaos) { chaos_ = chaos; }
 
  private:

@@ -117,8 +117,8 @@ class Device {
   /// sectors starting at `first_sector` (count 1 for each sector of an
   /// already deduplicated scatter).  Serial path: the sectors go through
   /// the L2 model immediately.  Parallel path: they are recorded in the
-  /// item's shard and replayed through the L2 in item order after the
-  /// launch (see run_items).
+  /// item's shard and replayed through the L2 in item order once the item
+  /// and every earlier one have completed (see run_items).
   void touch_sectors(u64 first_sector, u32 count, bool is_write);
 
   /// Record a block's shared-memory footprint (called by Block::shared);
@@ -142,7 +142,8 @@ class Device {
   /// Execute body(item) for items [0, n), concurrently when
   /// host_threads() > 1, with accounting merged in ascending item order
   /// so that counters, per-site slices, L2 traffic and modeled costs are
-  /// bit-identical to serial execution.  Called by the launch helpers
+  /// bit-identical to serial execution.  The calling thread merges while
+  /// the workers run later items.  Called by the launch helpers
   /// with one item per block (launch_blocks) or per fixed-size warp
   /// chunk (launch_warps).
   void run_items(u64 n, const std::function<void(u64)>& body);
@@ -280,18 +281,28 @@ class Device {
   }
 
   /// Fold one completed item's shard into the device's own shard: counter
-  /// slices, peak shared memory, the L2 sector-stream replay and the
-  /// deferred sanitizer reports.  Must be called in ascending item order
-  /// (the replay reproduces the serial L2 access sequence).
+  /// slices, peak shared memory, the L2 sector-stream replay (the stream
+  /// is freed afterwards) and the deferred sanitizer reports.  Must be
+  /// called in ascending item order (the replay reproduces the serial L2
+  /// access sequence).
   void merge_shard(CounterShard& item);
 
-  /// Cross-item synchronization of one parallel launch (the
-  /// completed-prefix fence global_atomic_fence waits on).
+  /// Cross-item synchronization of one parallel launch: the completed
+  /// prefix that global_atomic_fence waits on and that the launching thread
+  /// merges up to while the workers run.
   struct LaunchSync {
+    static constexpr u64 kNoMergeWaiter = ~u64{0};
     std::mutex mu;
-    std::condition_variable cv;
+    std::condition_variable cv;        // fence waiters
+    std::condition_variable merge_cv;  // the launcher, in wait_prefix
     std::vector<u8> done;
     u64 prefix = 0;  // items [0, prefix) have completed
+    /// Prefix the sleeping launcher waits for; workers notify merge_cv
+    /// only once the prefix reaches it.
+    u64 merge_want = kNoMergeWaiter;
+
+    /// Block until prefix >= want; returns the prefix.
+    u64 wait_prefix(u64 want);
   };
 
   DeviceProfile profile_;

@@ -9,17 +9,18 @@
 // blocks (or warp chunks) execute concurrently, each scheduled item instead
 // runs with a thread-local shard of its own armed (t_shard below), so every
 // Device::events() increment, site transition, sector touch and sanitizer
-// report lands there.  After the launch the item shards are folded into the
-// Device's shard in ascending item order, which reproduces the serial
-// execution order exactly -- see Device::merge_shard for the determinism
-// argument.
+// report lands there.  The launching thread folds the item shards into the
+// Device's shard in ascending item order, each one as soon as it and every
+// lower-numbered item have completed, while later items still run.  That
+// reproduces the serial execution order exactly -- see Device::merge_shard
+// for the determinism argument.
 //
 // The L2 is the one piece that cannot be sharded (its LRU state makes
 // every access's hit/miss outcome depend on all earlier accesses
 // device-wide), so item shards *record* their 32-byte sector streams as
 // run-length-encoded SectorOp entries and the merge replays them
-// serially through the real cache model; the Device's own shard sends
-// its touches straight into the L2.
+// serially through the real cache model, then frees them; the Device's
+// own shard sends its touches straight into the L2.
 #pragma once
 
 #include <exception>

@@ -27,7 +27,8 @@ u32 ThreadPool::hardware_threads() {
   return hw == 0 ? 1 : hw;
 }
 
-void ThreadPool::run(u64 begin, u64 end, const std::function<void(u64)>& body) {
+void ThreadPool::start(u64 begin, u64 end,
+                       const std::function<void(u64)>& body) {
   if (begin >= end) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -38,6 +39,9 @@ void ThreadPool::run(u64 begin, u64 end, const std::function<void(u64)>& body) {
     job_seq_ += 1;
   }
   work_cv_.notify_all();
+}
+
+void ThreadPool::wait() {
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] { return next_ >= end_ && in_flight_ == 0; });
   body_ = nullptr;
@@ -55,7 +59,7 @@ std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
 }
 
 u64 ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(const_cast<std::mutex&>(mu_));
+  std::lock_guard<std::mutex> lock(mu_);
   return (end_ > next_ ? end_ - next_ : 0) + in_flight_;
 }
 

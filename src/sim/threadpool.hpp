@@ -4,7 +4,9 @@
 // launches (spawning threads per launch would dominate small kernels).
 // The only job shape it runs is the one the scheduler needs: execute
 // `body(item)` for every item of [begin, end), handing items to workers
-// in *ascending order* (a shared atomic cursor).  Ascending dispatch is
+// in *ascending order* (a shared cursor).  start() returns as soon as the
+// job is handed out, so the launching thread can merge completed items
+// while later ones run; wait() joins the job.  Ascending dispatch is
 // load-bearing for deterministic execution: Device::run_items relies on
 // the invariant that the lowest-numbered incomplete item is always
 // already running on some worker, so a worker blocked in the
@@ -62,11 +64,16 @@ class ThreadPool {
   /// 0 between jobs.  The telemetry sampler's queue-depth gauge.
   u64 queue_depth() const;
 
-  /// Run body(item) for every item of [begin, end) across the workers and
-  /// block until all items completed.  Items are claimed in ascending
-  /// order.  One job at a time (the caller is the Device's launch path,
-  /// which is single-threaded by construction).
-  void run(u64 begin, u64 end, const std::function<void(u64)>& body);
+  /// Hand body(item) for every item of [begin, end) to the workers and
+  /// return at once; items are claimed in ascending order.  The caller may
+  /// work while the job runs (run_items merges completed items), but must
+  /// call wait() before `body` goes out of scope or the next start().  One
+  /// job at a time (the caller is the Device's launch path, which is
+  /// single-threaded by construction).
+  void start(u64 begin, u64 end, const std::function<void(u64)>& body);
+  /// Block until every item of the started job has completed; returns at
+  /// once when no job is running.
+  void wait();
 
   /// Number of hardware threads, with a floor of 1 (hardware_concurrency
   /// may report 0 on exotic platforms).
@@ -82,14 +89,14 @@ class ThreadPool {
     std::atomic<u64> items{0};
   };
 
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable work_cv_;   // workers wait here for a job
-  std::condition_variable done_cv_;   // run() waits here for completion
+  std::condition_variable done_cv_;   // wait() waits here for completion
   const std::function<void(u64)>* body_ = nullptr;
   u64 next_ = 0;
   u64 end_ = 0;
   u64 in_flight_ = 0;  // items claimed but not yet finished
-  u64 job_seq_ = 0;    // bumped per run() so idle workers wake exactly once
+  u64 job_seq_ = 0;    // bumped per start() so idle workers wake exactly once
   bool shutdown_ = false;
   std::atomic<bool> timing_enabled_{false};
   std::unique_ptr<WorkerCell[]> cells_;  // one per worker, fixed at spawn

@@ -241,6 +241,60 @@ TEST(ChaosInject, L2WritebackSequencePinned) {
   EXPECT_EQ(actual, expected) << "L2 writeback injections changed";
 }
 
+/// With four workers the launcher replays a batch's L2 traffic -- and so
+/// draws the writeback scrambles -- only once the whole batch has completed,
+/// never while items that may read the scrambled words still run.  A
+/// launch of 2048 blocks crosses the 1024-item merge batch; two runs must
+/// inject the same words and leave the same buffers.
+TEST(ChaosInject, L2WritebackAcrossBatchesReproducibleWithFourThreads) {
+  const u64 n = u64{1} << 19;
+  const u32 m = 8;
+  const auto host = make_keys(n, m, 23);
+  struct Run {
+    std::vector<sim::InjectionRecord> log;
+    std::vector<u32> out;
+    u64 max_blocks = 0;
+  };
+  const auto run = [&] {
+    ChaosPolicy pol;
+    pol.seed = 0xB47C4E5u;
+    pol.p_l2_corrupt = 0.02;
+    sim::Device dev;
+    dev.set_host_threads(4);
+    dev.enable_chaos(pol);
+    sim::DeviceBuffer<u32> in(dev, std::span<const u32>(host), "batch.in");
+    sim::DeviceBuffer<u32> out(dev, n, "batch.out");
+    dev.chaos()->protect_buffer(in.base_address());
+    MultisplitConfig cfg;
+    cfg.method = Method::kWarpLevel;
+    try {
+      MultisplitPlan(dev, n, m, cfg).run(in, out, RangeBucket{m});
+    } catch (const sim::SimError&) {
+      // A scrambled scratch word may fault a later kernel.
+    }
+    Run r;
+    r.log = dev.chaos()->log();
+    r.out.assign(out.host().begin(), out.host().end());
+    for (const auto& rec : dev.records()) {
+      r.max_blocks = std::max(r.max_blocks, rec.events.blocks_launched);
+    }
+    return r;
+  };
+  const Run a = run();
+  const Run b = run();
+  EXPECT_GT(a.max_blocks, 1024u);
+  ASSERT_FALSE(a.log.empty());
+  ASSERT_EQ(a.log.size(), b.log.size());
+  for (std::size_t i = 0; i < a.log.size(); ++i) {
+    EXPECT_EQ(a.log[i].site, sim::ChaosSite::kL2Writeback);
+    EXPECT_EQ(a.log[i].kernel, b.log[i].kernel) << i;
+    EXPECT_EQ(a.log[i].object, b.log[i].object) << i;
+    EXPECT_EQ(a.log[i].word, b.log[i].word) << i;
+    EXPECT_EQ(a.log[i].words, b.log[i].words) << i;
+  }
+  EXPECT_EQ(a.out, b.out);
+}
+
 // ----------------------------------- zero overhead / bit-identity when off
 
 TEST(ChaosEngine, IdleEngineIsBitIdenticalToNoEngine) {

@@ -6,6 +6,7 @@
 // wall-clock is the only thing allowed to change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
@@ -68,10 +69,17 @@ struct RunResult {
   f64 total_ms = 0.0;
   u64 sanitizer_errors = 0;
   u64 sanitizer_warnings = 0;
+  /// Most items of any one launch_blocks / launch_warps launch.
+  u64 max_block_items = 0;
+  u64 max_warp_items = 0;
 };
 
-RunResult run_multisplit(Method method, u32 host_threads, bool sanitize) {
-  constexpr u64 n = u64{1} << 16;
+/// Device::run_items merges the items of a launch in batches of this many;
+/// a launch with more items crosses a batch boundary.
+constexpr u64 kMergeBatch = 1024;
+
+RunResult run_multisplit(Method method, u32 host_threads, bool sanitize,
+                         u64 n = u64{1} << 16) {
   constexpr u32 m = 13;
   workload::WorkloadConfig wc;
   wc.m = m;
@@ -94,6 +102,16 @@ RunResult run_multisplit(Method method, u32 host_threads, bool sanitize) {
   res.total_ms = r.total_ms();
   res.sanitizer_errors = dev.sanitizer().error_count();
   res.sanitizer_warnings = dev.sanitizer().warning_count();
+  for (const auto& r : dev.records()) {
+    if (r.events.blocks_launched > 0) {
+      res.max_block_items = std::max(res.max_block_items,
+                                     r.events.blocks_launched);
+    } else {
+      res.max_warp_items = std::max(
+          res.max_warp_items,
+          ceil_div(r.events.warps_launched, sim::kWarpsPerScheduleItem));
+    }
+  }
   return res;
 }
 
@@ -135,6 +153,117 @@ INSTANTIATE_TEST_SUITE_P(Methods, ParallelDeterminism,
                            }
                            return name;
                          });
+
+/// The cases above stay inside one merge batch.  These cross it: the
+/// 4-thread launcher merges the items of the first batch while they run,
+/// then starts the next batch, and the result must still be the serial one.
+RunResult expect_serial_equals_mt4(Method method, u64 n) {
+  RunResult serial = run_multisplit(method, 1, /*sanitize=*/false, n);
+  const RunResult mt = run_multisplit(method, 4, /*sanitize=*/false, n);
+  EXPECT_EQ(serial.snapshot, mt.snapshot);
+  EXPECT_EQ(serial.out, mt.out);
+  EXPECT_EQ(serial.total_ms, mt.total_ms);
+  return serial;
+}
+
+TEST(ParallelBatches, BlockLaunchSerialVsFourThreads) {
+  const RunResult serial =
+      expect_serial_equals_mt4(Method::kWarpLevel, u64{1} << 19);
+  EXPECT_GT(serial.max_block_items, kMergeBatch);
+}
+
+TEST(ParallelBatches, WarpLaunchSerialVsFourThreads) {
+  // One warp item per 16 * 32 keys: 2^19 keys would fill exactly one batch.
+  const RunResult serial =
+      expect_serial_equals_mt4(Method::kReducedBitSort, u64{3} << 18);
+  EXPECT_GT(serial.max_warp_items, kMergeBatch);
+}
+
+/// A fault in the second merge batch of a launch.  Serial execution stops
+/// at the faulting block; the 4-thread run has merged the blocks before it
+/// while the batch was running, merges the faulting block's partial
+/// counters and nothing after it.  The kernel log (the faulted record's
+/// counters and site slices), the site totals, the parked fault and the
+/// next launch's DRAM traffic -- which depends on what the faulted launch
+/// left in the L2 -- must all match.
+struct FaultRun {
+  std::string snapshot;
+  std::string error;
+  bool threw = false;
+  u64 sanitizer_errors = 0;
+};
+
+FaultRun run_mid_launch_fault(u32 host_threads, bool memcheck) {
+  constexpr u32 kBlocks = 1500;
+  constexpr u32 kFaultBlock = 1100;  // second batch
+  constexpr u32 kWarps = 4;
+  constexpr u32 kRounds = 4;
+  // 3 MB per buffer: twice the K40c L2, so the launch evicts.
+  constexpr u64 n = u64{kBlocks} * kWarps * kRounds * kWarpSize;
+  std::vector<u32> host(n);
+  for (u64 i = 0; i < n; ++i) host[i] = static_cast<u32>(i * 2654435761u);
+
+  sim::Device dev;
+  dev.set_host_threads(host_threads);
+  if (memcheck) {
+    sim::SanitizerConfig cfg;
+    cfg.memcheck = true;
+    dev.sanitizer().configure(cfg);
+  }
+  sim::DeviceBuffer<u32> in(dev, std::span<const u32>(host), "in"),
+      out(dev, n, "out");
+  const sim::SiteId load_site = dev.site_id("test/load");
+  const sim::SiteId store_site = dev.site_id("test/store");
+  FaultRun res;
+  try {
+    sim::launch_blocks(
+        dev, "fault_mid_launch", kBlocks, kWarps, [&](sim::Block& blk) {
+          blk.for_each_warp([&](sim::Warp& w) {
+            for (u32 r = 0; r < kRounds; ++r) {
+              const u64 base = ((u64{blk.block_id()} * kRounds + r) * kWarps +
+                                w.warp_in_block()) *
+                               kWarpSize;
+              // The faulting block's warp 2 reads past the end of `in` in
+              // its last round, after eleven clean loads and stores.
+              const bool fault = blk.block_id() == kFaultBlock &&
+                                 w.warp_in_block() == 2 && r == kRounds - 1;
+              LaneArray<u32> v;
+              {
+                sim::ScopedSite site(dev, load_site);
+                v = w.load(in, fault ? n - 1 : base);
+              }
+              sim::ScopedSite site(dev, store_site);
+              w.store(out, base, v);
+            }
+          });
+        });
+  } catch (const sim::SimError&) {
+    res.threw = true;
+  }
+  sim::DeviceBuffer<u32> copy(dev, n, "copy");
+  sim::device_copy(dev, copy, in);
+  res.snapshot = snapshot(dev);
+  if (dev.last_error()) res.error = sim::format_fault(*dev.last_error());
+  res.sanitizer_errors = dev.sanitizer().error_count();
+  EXPECT_EQ(dev.records().size(), 2u);
+  EXPECT_TRUE(dev.records().front().faulted);
+  return res;
+}
+
+TEST(ParallelBatches, MidLaunchFaultSerialVsFourThreads) {
+  for (const bool memcheck : {false, true}) {
+    const FaultRun serial = run_mid_launch_fault(1, memcheck);
+    const FaultRun mt = run_mid_launch_fault(4, memcheck);
+    // Reporting mode parks the fault instead of unwinding the caller.
+    EXPECT_EQ(serial.threw, !memcheck);
+    EXPECT_EQ(serial.threw, mt.threw);
+    EXPECT_NE(serial.error.find("block 1100, warp 2"), std::string::npos)
+        << serial.error;
+    EXPECT_EQ(serial.error, mt.error) << "memcheck=" << memcheck;
+    EXPECT_EQ(serial.snapshot, mt.snapshot) << "memcheck=" << memcheck;
+    EXPECT_EQ(serial.sanitizer_errors, mt.sanitizer_errors);
+  }
+}
 
 /// Cross-block global-atomic contention: every block of a 4-thread run
 /// increments the same histogram cells.  The final counts must be exact
