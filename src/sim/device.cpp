@@ -319,18 +319,13 @@ void Device::run_items(u64 n, const std::function<void(u64)>& body) {
   if (pool_ == nullptr || pool_->size() != threads) {
     pool_ = std::make_unique<ThreadPool>(threads);
   }
-  if (pool_->timing_enabled() != (telem_ != nullptr)) {
-    pool_->set_timing_enabled(telem_ != nullptr);
-  }
-  sync_ = std::make_unique<LaunchSync>();
-  sync_->done.assign(n, 0);
   // Items start attributing to the site active at launch entry, exactly
   // as the serial loop would.
   const SiteId launch_site = main_.current_site;
   std::exception_ptr first_error;
   // Batching bounds the memory held by recorded sector streams; it cannot
   // change results (batches run back-to-back, merges stay in item order,
-  // and the completed-prefix fence spans the whole launch).
+  // and a batch's completed prefix starts with every earlier item done).
   constexpr u64 kBatch = 1024;
   // The launcher merges item i once items [0, i] have completed.  It
   // sleeps until the completed prefix has grown by four items per worker:
@@ -356,27 +351,17 @@ void Device::run_items(u64 n, const std::function<void(u64)>& body) {
         sh.error = std::current_exception();
       }
       detail::t_shard = nullptr;
-      // Always advance the completed prefix, fault or not: later items
-      // may be blocked in global_atomic_fence.
-      std::unique_lock<std::mutex> lock(sync_->mu);
-      sync_->done[item] = 1;
-      while (sync_->prefix < n && sync_->done[sync_->prefix] != 0) {
-        sync_->prefix += 1;
-      }
-      sync_->cv.notify_all();
-      const bool wake_launcher = sync_->prefix >= sync_->merge_want;
-      lock.unlock();
-      if (wake_launcher) sync_->merge_cv.notify_one();
     };
-    pool_->start(base, base + count, worker);
+    pool_->start(base, base + count, worker, telem_ != nullptr);
     // Merge in ascending item order.  A faulted item keeps its partial
     // counters but nothing after it is merged: serial execution would
-    // have thrown before reaching those items.
+    // have thrown before reaching those items.  The pool still runs the
+    // rest of the batch, so which items wrote buffers never depends on
+    // timing.
     try {
       for (u64 i = 0; i < count && first_error == nullptr;) {
-        const u64 ready =
-            sync_->wait_prefix(base + std::min(count, i + round)) - base;
-        for (; i < std::min(count, ready) && first_error == nullptr; ++i) {
+        const u64 ready = pool_->wait_prefix(base + i + round) - base;
+        for (; i < ready && first_error == nullptr; ++i) {
           merge_shard(shards[i]);
           first_error = shards[i].error;
         }
@@ -387,26 +372,13 @@ void Device::run_items(u64 n, const std::function<void(u64)>& body) {
     }
     pool_->wait();
   }
-  sync_.reset();
   if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
-u64 Device::LaunchSync::wait_prefix(u64 want) {
-  std::unique_lock<std::mutex> lock(mu);
-  if (prefix < want) {
-    merge_want = want;
-    merge_cv.wait(lock, [&] { return prefix >= want; });
-    merge_want = kNoMergeWaiter;
-  }
-  return prefix;
 }
 
 void Device::global_atomic_fence() {
   CounterShard* sh = detail::t_shard;
   if (sh == nullptr || sh->fence_passed) return;
-  LaunchSync& s = *sync_;
-  std::unique_lock<std::mutex> lock(s.mu);
-  s.cv.wait(lock, [&] { return s.prefix >= sh->item_id; });
+  pool_->wait_below(sh->item_id);
   sh->fence_passed = true;
 }
 

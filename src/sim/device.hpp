@@ -10,7 +10,6 @@
 #pragma once
 
 #include <algorithm>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -142,17 +141,18 @@ class Device {
   /// Execute body(item) for items [0, n), concurrently when
   /// host_threads() > 1, with accounting merged in ascending item order
   /// so that counters, per-site slices, L2 traffic and modeled costs are
-  /// bit-identical to serial execution.  The calling thread merges while
-  /// the workers run later items.  Called by the launch helpers
-  /// with one item per block (launch_blocks) or per fixed-size warp
-  /// chunk (launch_warps).
+  /// bit-identical to serial execution.  Items run as pool jobs of up to
+  /// 1024; the calling thread merges up to the pool's completed prefix
+  /// (ThreadPool::wait_prefix) while the workers run later items.  Called
+  /// by the launch helpers with one item per block (launch_blocks) or per
+  /// fixed-size warp chunk (launch_warps).
   void run_items(u64 n, const std::function<void(u64)>& body);
 
   /// Serial-equivalence fence for global atomics: blocks the calling
   /// worker until every lower-numbered item of the current launch has
-  /// completed, so atomic old values are consumed in the exact order
-  /// serial execution would produce.  No-op on the serial path and after
-  /// the item's first call.
+  /// completed (ThreadPool::wait_below), so atomic old values are
+  /// consumed in the exact order serial execution would produce.  No-op
+  /// on the serial path and after the item's first call.
   void global_atomic_fence();
 
   // --- kernel log / timing sections ---
@@ -287,24 +287,6 @@ class Device {
   /// access sequence).
   void merge_shard(CounterShard& item);
 
-  /// Cross-item synchronization of one parallel launch: the completed
-  /// prefix that global_atomic_fence waits on and that the launching thread
-  /// merges up to while the workers run.
-  struct LaunchSync {
-    static constexpr u64 kNoMergeWaiter = ~u64{0};
-    std::mutex mu;
-    std::condition_variable cv;        // fence waiters
-    std::condition_variable merge_cv;  // the launcher, in wait_prefix
-    std::vector<u8> done;
-    u64 prefix = 0;  // items [0, prefix) have completed
-    /// Prefix the sleeping launcher waits for; workers notify merge_cv
-    /// only once the prefix reaches it.
-    u64 merge_want = kNoMergeWaiter;
-
-    /// Block until prefix >= want; returns the prefix.
-    u64 wait_prefix(u64 want);
-  };
-
   DeviceProfile profile_;
   SectorCache l2_;
   Sanitizer san_;
@@ -330,7 +312,6 @@ class Device {
 
   u32 host_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;     // lazily created, reused
-  std::unique_ptr<LaunchSync> sync_;     // non-null only during run_items
 
   std::unique_ptr<ChaosEngine> chaos_;   // null when chaos is off
   ResilienceStats res_stats_;

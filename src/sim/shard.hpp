@@ -10,10 +10,11 @@
 // runs with a thread-local shard of its own armed (t_shard below), so every
 // Device::events() increment, site transition, sector touch and sanitizer
 // report lands there.  The launching thread folds the item shards into the
-// Device's shard in ascending item order, each one as soon as it and every
-// lower-numbered item have completed, while later items still run.  That
-// reproduces the serial execution order exactly -- see Device::merge_shard
-// for the determinism argument.
+// Device's shard in ascending item order, each one as soon as the thread
+// pool's completed prefix covers it (it and every lower-numbered item have
+// completed), while later items still run.  That reproduces the serial
+// execution order exactly -- see Device::merge_shard for the determinism
+// argument.
 //
 // The L2 is the one piece that cannot be sharded (its LRU state makes
 // every access's hit/miss outcome depend on all earlier accesses

@@ -1,5 +1,6 @@
 #include "sim/threadpool.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 namespace ms::sim {
@@ -28,23 +29,51 @@ u32 ThreadPool::hardware_threads() {
 }
 
 void ThreadPool::start(u64 begin, u64 end,
-                       const std::function<void(u64)>& body) {
+                       const std::function<void(u64)>& body, bool timed) {
   if (begin >= end) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
     body_ = &body;
+    timed_ = timed;
+    begin_ = begin;
     next_ = begin;
     end_ = end;
-    in_flight_ = 0;
-    job_seq_ += 1;
+    prefix_ = begin;
+    done_.assign(end - begin, 0);
   }
   work_cv_.notify_all();
 }
 
-void ThreadPool::wait() {
+u64 ThreadPool::wait_prefix(u64 want) {
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return next_ >= end_ && in_flight_ == 0; });
-  body_ = nullptr;
+  const u64 target = std::min(want, end_);
+  while (prefix_ < target) {
+    wake_at_ = target;
+    launcher_cv_.wait(lock);
+  }
+  wake_at_ = ~u64{0};
+  return prefix_;
+}
+
+void ThreadPool::wait_below(u64 item) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (prefix_ >= item) return;
+  fence_waiters_ += 1;
+  fence_cv_.wait(lock, [&] { return prefix_ >= item; });
+  fence_waiters_ -= 1;
+}
+
+bool ThreadPool::complete(u64 item) {
+  done_[item - begin_] = 1;
+  // Only the lowest incomplete item can move the prefix.
+  if (item != prefix_) return false;
+  do {
+    prefix_ += 1;
+  } while (prefix_ < end_ && done_[prefix_ - begin_] != 0);
+  if (fence_waiters_ > 0) fence_cv_.notify_all();
+  if (prefix_ < wake_at_) return false;
+  wake_at_ = ~u64{0};
+  return true;
 }
 
 std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
@@ -60,29 +89,31 @@ std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
 
 u64 ThreadPool::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return (end_ > next_ ? end_ - next_ : 0) + in_flight_;
+  return end_ - prefix_;
 }
 
 void ThreadPool::worker_loop(u32 worker_index) {
   WorkerCell& cell = cells_[worker_index];
-  u64 seen_seq = 0;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_cv_.wait(lock, [&] {
-      return shutdown_ || (job_seq_ != seen_seq && next_ < end_);
-    });
+    work_cv_.wait(lock, [&] { return shutdown_ || next_ < end_; });
     if (shutdown_) return;
-    seen_seq = job_seq_;
-    // Claim items in ascending order until the job is drained.
+    // Claim items in ascending order until the job is drained; marking an
+    // item done and claiming the next share one lock hold.
+    bool wake_launcher = false;
     while (next_ < end_) {
       const u64 item = next_++;
-      in_flight_ += 1;
-      const std::function<void(u64)>* body = body_;
-      const bool timed = timing_enabled_.load(std::memory_order_relaxed);
+      const std::function<void(u64)>& body = *body_;
+      const bool timed = timed_;
       lock.unlock();
+      if (wake_launcher) launcher_cv_.notify_one();
+      const auto t0 = timed ? std::chrono::steady_clock::now()
+                            : std::chrono::steady_clock::time_point{};
+      body(item);
+      lock.lock();
+      wake_launcher = complete(item);
+      // Busy time spans the body and its completion bookkeeping.
       if (timed) {
-        const auto t0 = std::chrono::steady_clock::now();
-        (*body)(item);
         const auto t1 = std::chrono::steady_clock::now();
         cell.busy_ns.fetch_add(
             static_cast<u64>(
@@ -90,13 +121,13 @@ void ThreadPool::worker_loop(u32 worker_index) {
                     .count()),
             std::memory_order_relaxed);
         cell.items.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        (*body)(item);
       }
-      lock.lock();
-      in_flight_ -= 1;
     }
-    if (in_flight_ == 0) done_cv_.notify_all();
+    if (wake_launcher) {
+      lock.unlock();
+      launcher_cv_.notify_one();
+      lock.lock();
+    }
   }
 }
 

@@ -4,14 +4,12 @@
 // launches (spawning threads per launch would dominate small kernels).
 // The only job shape it runs is the one the scheduler needs: execute
 // `body(item)` for every item of [begin, end), handing items to workers
-// in *ascending order* (a shared cursor).  start() returns as soon as the
-// job is handed out, so the launching thread can merge completed items
-// while later ones run; wait() joins the job.  Ascending dispatch is
-// load-bearing for deterministic execution: Device::run_items relies on
-// the invariant that the lowest-numbered incomplete item is always
-// already running on some worker, so a worker blocked in the
-// global-atomic fence (waiting for every earlier item to finish) can
-// never deadlock the pool.
+// in *ascending order* from a claim cursor.  The pool owns the job's whole
+// scheduling state under its one mutex, including the completed prefix
+// that the launcher merges up to (wait_prefix) and the global-atomic
+// fence waits on (wait_below).  Ascending dispatch is load-bearing: the
+// lowest incomplete item is always already running on some worker, so a
+// worker blocked in wait_below can never deadlock the pool.
 //
 // Worker threads never touch Device state directly; all counter routing
 // happens through the thread-local CounterShard set up by the caller's
@@ -45,35 +43,34 @@ class ThreadPool {
 
   // --- telemetry (sim/telemetry.hpp; read-only over scheduling state) ---
 
-  /// Cumulative per-worker execution stats.  Busy time is only accumulated
-  /// while timing is enabled (two steady_clock reads per item otherwise
-  /// avoided -- the pool must stay invisible to untelemetered runs).
+  /// Cumulative per-worker execution stats, accumulated only for jobs
+  /// started with `timed` (the pool must stay invisible to untelemetered
+  /// runs).
   struct WorkerStats {
-    f64 busy_ms = 0.0;    ///< wall-clock spent inside item bodies
+    f64 busy_ms = 0.0;    ///< wall-clock in item bodies and their completion
     u64 items = 0;        ///< items this worker executed
   };
-  void set_timing_enabled(bool on) {
-    timing_enabled_.store(on, std::memory_order_relaxed);
-  }
-  bool timing_enabled() const {
-    return timing_enabled_.load(std::memory_order_relaxed);
-  }
   std::vector<WorkerStats> worker_stats() const;
 
-  /// Items of the current job not yet completed (unclaimed + in flight);
-  /// 0 between jobs.  The telemetry sampler's queue-depth gauge.
+  /// Items of the current job outside its completed prefix; 0 between
+  /// jobs.  The telemetry sampler's queue-depth gauge.
   u64 queue_depth() const;
 
   /// Hand body(item) for every item of [begin, end) to the workers and
-  /// return at once; items are claimed in ascending order.  The caller may
-  /// work while the job runs (run_items merges completed items), but must
-  /// call wait() before `body` goes out of scope or the next start().  One
-  /// job at a time (the caller is the Device's launch path, which is
-  /// single-threaded by construction).
-  void start(u64 begin, u64 end, const std::function<void(u64)>& body);
-  /// Block until every item of the started job has completed; returns at
-  /// once when no job is running.
-  void wait();
+  /// return at once; the completed prefix restarts at `begin`.  `timed`
+  /// arms the busy-time accounting.  One job at a time: the caller (the
+  /// Device's single-threaded launch path) must call wait() before `body`
+  /// goes out of scope or the next start().
+  void start(u64 begin, u64 end, const std::function<void(u64)>& body,
+             bool timed);
+  /// Launcher side: block until items [begin, min(want, end)) have
+  /// completed; returns the completed prefix.
+  u64 wait_prefix(u64 want);
+  /// Block until the whole job has completed (at once when none runs).
+  void wait() { wait_prefix(~u64{0}); }
+  /// Item side (the atomic fence): block until every item of the job
+  /// below `item` has completed.
+  void wait_below(u64 item);
 
   /// Number of hardware threads, with a floor of 1 (hardware_concurrency
   /// may report 0 on exotic platforms).
@@ -81,6 +78,9 @@ class ThreadPool {
 
  private:
   void worker_loop(u32 worker_index);
+  /// Mark `item` done and advance the prefix (mu_ held); true when the
+  /// launcher's wake target is reached.
+  bool complete(u64 item);
 
   /// Per-worker accumulators, cache-line separated so telemetry updates
   /// never bounce lines between workers.
@@ -90,15 +90,19 @@ class ThreadPool {
   };
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait here for a job
-  std::condition_variable done_cv_;   // wait() waits here for completion
+  std::condition_variable work_cv_;      // workers wait here for a job
+  std::condition_variable launcher_cv_;  // wait_prefix
+  std::condition_variable fence_cv_;     // wait_below
   const std::function<void(u64)>* body_ = nullptr;
-  u64 next_ = 0;
+  bool timed_ = false;
+  u64 begin_ = 0;
+  u64 next_ = 0;    // claim cursor
   u64 end_ = 0;
-  u64 in_flight_ = 0;  // items claimed but not yet finished
-  u64 job_seq_ = 0;    // bumped per start() so idle workers wake exactly once
+  u64 prefix_ = 0;  // items [begin_, prefix_) have completed
+  std::vector<u8> done_;  // done_[item - begin_]
+  u64 wake_at_ = ~u64{0};  // prefix the sleeping launcher waits for
+  u32 fence_waiters_ = 0;
   bool shutdown_ = false;
-  std::atomic<bool> timing_enabled_{false};
   std::unique_ptr<WorkerCell[]> cells_;  // one per worker, fixed at spawn
   std::vector<std::thread> workers_;
 };

@@ -261,72 +261,18 @@ class Warp {
   template <typename T>
   LaneArray<T> atomic_add(DeviceBuffer<T>& buf, const LaneArray<u64>& idx,
                           const LaneArray<T>& v, LaneMask active = kFullMask) {
-    LaneArray<T> out{};
-    if (active == 0) return out;
-    dev_->global_atomic_fence();
-    count_simt(active);
-    charge_scattered</*is_write=*/true, T>(buf, idx, active);
-    // Reads the old value too.
-    charge_scattered</*is_write=*/false, T>(buf, idx, active);
-
-    const u32 n_active = static_cast<u32>(std::popcount(active));
-    u32 distinct = 0;
-    std::array<u64, kWarpSize> seen{};
-    for_each_lane(active, [&](u32 lane) {
-      bool dup = false;
-      for (u32 k = 0; k < distinct; ++k) {
-        if (seen[k] == idx[lane]) dup = true;
-      }
-      if (!dup) seen[distinct++] = idx[lane];
+    return global_atomic(buf, idx, active, "atomicAdd", [&](T old, u32 lane) {
+      return static_cast<T>(old + v[lane]);
     });
-    dev_->events().atomic_ops += n_active;
-    dev_->events().atomic_conflicts += n_active - distinct;
-    // Conflicting lanes replay the atomic.
-    dev_->events().issue_slots += (n_active - distinct);
-
-    GlobalShadow* sh = buf.init_shadow();
-    for_each_lane(active, [&](u32 lane) {
-      bounds_check(buf, idx[lane], lane, "atomicAdd");
-      init_check_read(buf, idx[lane], lane);
-      if (sh != nullptr) mark_valid(*sh, idx[lane]);
-      out[lane] = atomic_rmw(buf.raw_data()[idx[lane]],
-                             [&](T old) { return static_cast<T>(old + v[lane]); });
-    });
-    return out;
   }
 
   /// Warp-wide global atomicMin: returns each active lane's old value.
   template <typename T>
   LaneArray<T> atomic_min(DeviceBuffer<T>& buf, const LaneArray<u64>& idx,
                           const LaneArray<T>& v, LaneMask active = kFullMask) {
-    LaneArray<T> out{};
-    if (active == 0) return out;
-    dev_->global_atomic_fence();
-    count_simt(active);
-    charge_scattered</*is_write=*/true, T>(buf, idx, active);
-    charge_scattered</*is_write=*/false, T>(buf, idx, active);
-    const u32 n_active = static_cast<u32>(std::popcount(active));
-    u32 distinct = 0;
-    std::array<u64, kWarpSize> seen{};
-    for_each_lane(active, [&](u32 lane) {
-      bool dup = false;
-      for (u32 k = 0; k < distinct; ++k) {
-        if (seen[k] == idx[lane]) dup = true;
-      }
-      if (!dup) seen[distinct++] = idx[lane];
+    return global_atomic(buf, idx, active, "atomicMin", [&](T old, u32 lane) {
+      return std::min(old, v[lane]);
     });
-    dev_->events().atomic_ops += n_active;
-    dev_->events().atomic_conflicts += n_active - distinct;
-    dev_->events().issue_slots += (n_active - distinct);
-    GlobalShadow* sh = buf.init_shadow();
-    for_each_lane(active, [&](u32 lane) {
-      bounds_check(buf, idx[lane], lane, "atomicMin");
-      init_check_read(buf, idx[lane], lane);
-      if (sh != nullptr) mark_valid(*sh, idx[lane]);
-      out[lane] = atomic_rmw(buf.raw_data()[idx[lane]],
-                             [&](T old) { return std::min(old, v[lane]); });
-    });
-    return out;
   }
 
   // --------------------------------------------------------- shared memory
@@ -439,6 +385,47 @@ class Warp {
   /// Mark one shadow element written (racing writers are fine: all store 1).
   static void mark_valid(GlobalShadow& sh, u64 i) {
     std::atomic_ref<u8>(sh.valid[i]).store(1, std::memory_order_relaxed);
+  }
+
+  /// The one global atomic RMW behind atomic_add / atomic_min: the
+  /// serial-order fence, the write and old-value read charges, the
+  /// conflict accounting, and per lane the checks plus
+  /// `update(old, lane)` applied as a host atomic.  `what` labels faults.
+  template <typename T, typename F>
+  LaneArray<T> global_atomic(DeviceBuffer<T>& buf, const LaneArray<u64>& idx,
+                             LaneMask active, const char* what, F&& update) {
+    LaneArray<T> out{};
+    if (active == 0) return out;
+    dev_->global_atomic_fence();
+    count_simt(active);
+    charge_scattered</*is_write=*/true, T>(buf, idx, active);
+    // Reads the old value too.
+    charge_scattered</*is_write=*/false, T>(buf, idx, active);
+
+    const u32 n_active = static_cast<u32>(std::popcount(active));
+    u32 distinct = 0;
+    std::array<u64, kWarpSize> seen{};
+    for_each_lane(active, [&](u32 lane) {
+      bool dup = false;
+      for (u32 k = 0; k < distinct; ++k) {
+        if (seen[k] == idx[lane]) dup = true;
+      }
+      if (!dup) seen[distinct++] = idx[lane];
+    });
+    dev_->events().atomic_ops += n_active;
+    dev_->events().atomic_conflicts += n_active - distinct;
+    // Conflicting lanes replay the atomic.
+    dev_->events().issue_slots += (n_active - distinct);
+
+    GlobalShadow* sh = buf.init_shadow();
+    for_each_lane(active, [&](u32 lane) {
+      bounds_check(buf, idx[lane], lane, what);
+      init_check_read(buf, idx[lane], lane);
+      if (sh != nullptr) mark_valid(*sh, idx[lane]);
+      out[lane] = atomic_rmw(buf.raw_data()[idx[lane]],
+                             [&](T old) { return update(old, lane); });
+    });
+    return out;
   }
 
   /// Host-atomic read-modify-write of one device element; returns the old

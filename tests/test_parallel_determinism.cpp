@@ -185,23 +185,31 @@ TEST(ParallelBatches, WarpLaunchSerialVsFourThreads) {
 /// counters and nothing after it.  The kernel log (the faulted record's
 /// counters and site slices), the site totals, the parked fault and the
 /// next launch's DRAM traffic -- which depends on what the faulted launch
-/// left in the L2 -- must all match.
+/// left in the L2 -- must all match.  The buffers do not: every block of
+/// the faulting batch still runs on the pool, so blocks after the fault
+/// have stored their words too (`out` pins exactly which ones).
 struct FaultRun {
   std::string snapshot;
   std::string error;
   bool threw = false;
   u64 sanitizer_errors = 0;
+  std::vector<u32> out;
 };
 
+constexpr u32 kFaultBlocks = 1500;
+constexpr u32 kFaultBlock = 1100;  // second batch
+constexpr u32 kFaultWarps = 4;
+constexpr u32 kFaultRounds = 4;
+constexpr u64 kFaultBlockWords = u64{kFaultWarps} * kFaultRounds * kWarpSize;
+
+/// Word i of the faulting kernel's input (never 0 for i > 0).
+u32 fault_input_word(u64 i) { return static_cast<u32>(i * 2654435761u); }
+
 FaultRun run_mid_launch_fault(u32 host_threads, bool memcheck) {
-  constexpr u32 kBlocks = 1500;
-  constexpr u32 kFaultBlock = 1100;  // second batch
-  constexpr u32 kWarps = 4;
-  constexpr u32 kRounds = 4;
   // 3 MB per buffer: twice the K40c L2, so the launch evicts.
-  constexpr u64 n = u64{kBlocks} * kWarps * kRounds * kWarpSize;
+  constexpr u64 n = u64{kFaultBlocks} * kFaultBlockWords;
   std::vector<u32> host(n);
-  for (u64 i = 0; i < n; ++i) host[i] = static_cast<u32>(i * 2654435761u);
+  for (u64 i = 0; i < n; ++i) host[i] = fault_input_word(i);
 
   sim::Device dev;
   dev.set_host_threads(host_threads);
@@ -217,16 +225,19 @@ FaultRun run_mid_launch_fault(u32 host_threads, bool memcheck) {
   FaultRun res;
   try {
     sim::launch_blocks(
-        dev, "fault_mid_launch", kBlocks, kWarps, [&](sim::Block& blk) {
+        dev, "fault_mid_launch", kFaultBlocks, kFaultWarps,
+        [&](sim::Block& blk) {
           blk.for_each_warp([&](sim::Warp& w) {
-            for (u32 r = 0; r < kRounds; ++r) {
-              const u64 base = ((u64{blk.block_id()} * kRounds + r) * kWarps +
-                                w.warp_in_block()) *
-                               kWarpSize;
+            for (u32 r = 0; r < kFaultRounds; ++r) {
+              const u64 base =
+                  ((u64{blk.block_id()} * kFaultRounds + r) * kFaultWarps +
+                   w.warp_in_block()) *
+                  kWarpSize;
               // The faulting block's warp 2 reads past the end of `in` in
               // its last round, after eleven clean loads and stores.
               const bool fault = blk.block_id() == kFaultBlock &&
-                                 w.warp_in_block() == 2 && r == kRounds - 1;
+                                 w.warp_in_block() == 2 &&
+                                 r == kFaultRounds - 1;
               LaneArray<u32> v;
               {
                 sim::ScopedSite site(dev, load_site);
@@ -245,6 +256,7 @@ FaultRun run_mid_launch_fault(u32 host_threads, bool memcheck) {
   res.snapshot = snapshot(dev);
   if (dev.last_error()) res.error = sim::format_fault(*dev.last_error());
   res.sanitizer_errors = dev.sanitizer().error_count();
+  res.out.assign(out.host().begin(), out.host().end());
   EXPECT_EQ(dev.records().size(), 2u);
   EXPECT_TRUE(dev.records().front().faulted);
   return res;
@@ -263,6 +275,28 @@ TEST(ParallelBatches, MidLaunchFaultSerialVsFourThreads) {
     EXPECT_EQ(serial.snapshot, mt.snapshot) << "memcheck=" << memcheck;
     EXPECT_EQ(serial.sanitizer_errors, mt.sanitizer_errors);
   }
+}
+
+/// What a faulted parallel launch leaves in its buffers: the pool runs
+/// every block of the faulting 1024-block batch, so blocks 1101-1499
+/// (after the fault, before the end of the launch) are stored too.  That
+/// is the one difference from serial, and it does not depend on timing.
+TEST(ParallelBatches, MidLaunchFaultBuffersArePinned) {
+  const FaultRun serial = run_mid_launch_fault(1, /*memcheck=*/false);
+  const FaultRun mt = run_mid_launch_fault(4, /*memcheck=*/false);
+  const FaultRun mt_again = run_mid_launch_fault(4, /*memcheck=*/false);
+  EXPECT_TRUE(mt.out == mt_again.out);
+
+  std::vector<u32> expected = serial.out;
+  const u64 first = u64{kFaultBlock + 1} * kFaultBlockWords;
+  const u64 last = u64{kFaultBlocks} * kFaultBlockWords;
+  EXPECT_EQ(std::count(expected.begin() + static_cast<std::ptrdiff_t>(first),
+                       expected.end(), 0u),
+            static_cast<std::ptrdiff_t>(last - first))
+      << "serial execution stores nothing after the faulting block";
+  for (u64 i = first; i < last; ++i) expected[i] = fault_input_word(i);
+  EXPECT_TRUE(mt.out == expected);
+  EXPECT_EQ(last - first, 399 * kFaultBlockWords);
 }
 
 /// Cross-block global-atomic contention: every block of a 4-thread run
@@ -342,6 +376,49 @@ TEST(ParallelAtomics, OddThreadCountsMatchSerial) {
         run_multisplit(Method::kBlockLevel, threads, /*sanitize=*/false);
     EXPECT_EQ(serial.snapshot, mt.snapshot) << threads << " threads";
     EXPECT_EQ(serial.out, mt.out) << threads << " threads";
+  }
+}
+
+/// The atomic fence at the edges of the 1024-item merge batches: lane 0
+/// of every block takes one ticket from a shared counter.  The completed
+/// prefix restarts at each batch's first item, so the tickets must still
+/// come out 0..n-1 in block order, for launches just below, at and past
+/// one and two batches and for worker counts that do and do not divide
+/// them.
+TEST(ParallelAtomics, FenceAtBatchEdgesMatchesSerial) {
+  const auto run = [](u32 blocks, u32 host_threads, std::vector<u32>* olds) {
+    sim::Device dev;
+    dev.set_host_threads(host_threads);
+    sim::DeviceBuffer<u32> counter(dev, 1, "counter"),
+        tickets(dev, blocks, "tickets");
+    counter[0] = 0;
+    sim::launch_blocks(
+        dev, "block_tickets", blocks, 1, [&](sim::Block& blk) {
+          blk.for_each_warp([&](sim::Warp& w) {
+            constexpr LaneMask kLane0 = 1;
+            const LaneArray<u32> old =
+                w.atomic_add(counter, LaneArray<u64>::filled(0),
+                             LaneArray<u32>::filled(1), kLane0);
+            w.store(tickets, blk.block_id(), old, kLane0);
+          });
+        });
+    olds->assign(tickets.host().begin(), tickets.host().end());
+    return snapshot(dev);
+  };
+
+  for (const u32 blocks : {2u, 3u, 1023u, 1024u, 1025u, 2049u}) {
+    std::vector<u32> in_order(blocks);
+    for (u32 b = 0; b < blocks; ++b) in_order[b] = b;
+    std::vector<u32> serial_olds;
+    const std::string serial = run(blocks, 1, &serial_olds);
+    EXPECT_TRUE(serial_olds == in_order) << blocks << " blocks";
+    for (const u32 threads : {2u, 3u, 4u, 7u}) {
+      std::vector<u32> olds;
+      EXPECT_EQ(serial, run(blocks, threads, &olds))
+          << blocks << " blocks, " << threads << " threads";
+      EXPECT_TRUE(olds == in_order)
+          << blocks << " blocks, " << threads << " threads";
+    }
   }
 }
 
