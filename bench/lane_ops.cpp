@@ -1,13 +1,11 @@
 // Per-intrinsic microbench for the host SIMD lane engine (sim/simd.hpp).
 //
-// Times each lane-parallel kernel against its scalar reference loop --
-// first the raw simd:: primitives (nonzero_mask, ballot, bit_ballots,
-// class_masks), then the fused warp primitives that consume them
-// (warp_histogram, warp_offsets, warp_rank) A/B'd through the
-// simd::set_enabled runtime switch.  The two paths are bit-identical by
-// construction (the randomized property tests in test_lane_array prove
-// it); this bench answers only "how much host time does the vector path
-// save per operation".
+// Times each raw lane-parallel kernel (nonzero_mask, ballot, bit_ballots,
+// class_masks) of the compiled backend against its simd::scalar reference
+// loop.  The two are bit-identical by construction (the randomized
+// property tests in test_lane_array prove it); this bench answers only
+// "how much host time does the vector backend save per operation".  In an
+// MS_SIMD=off build both rows run the scalar loops.
 //
 // --n sets log2 of the iteration count per kernel (default 2^20).
 // --json emits one result row per (kernel, engine) pair; the header's
@@ -19,7 +17,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "primitives/warp_ops.hpp"
 #include "sim/simd.hpp"
 
 using namespace ms;
@@ -41,34 +38,7 @@ f64 time_loop(u64 iters, F&& f) {
          static_cast<f64>(iters);
 }
 
-// Scalar reference loops, mirroring the #else branches in sim/simd.hpp
-// (the simd:: entry points compile to vector code unconditionally, so the
-// A side of the raw-kernel comparison is written out here).
-
-u32 ref_nonzero_mask(const u32* v) {
-  u32 out = 0;
-  for (u32 i = 0; i < kWarpSize; ++i) out |= (v[i] != 0 ? 1u : 0u) << i;
-  return out;
-}
-
-void ref_bit_ballots(const u32* bucket, u32 rounds, LaneMask valid,
-                     u32* ballots) {
-  for (u32 k = 0; k < rounds; ++k) {
-    u32 mask = 0;
-    for (u32 i = 0; i < kWarpSize; ++i) mask |= ((bucket[i] >> k) & 1u) << i;
-    ballots[k] = mask & valid;
-  }
-}
-
-void ref_class_masks(u32 rounds, const u32* ballots, LaneMask valid,
-                     u32* M) {
-  const u32 classes = 1u << rounds;
-  for (u32 c = 0; c < classes; ++c) M[c] = valid;
-  for (u32 k = 0; k < rounds; ++k) {
-    const u32 b = ballots[k];
-    for (u32 c = 0; c < classes; ++c) M[c] &= b ^ (((c >> k) & 1u) - 1u);
-  }
-}
+namespace scalar = sim::simd::scalar;
 
 }  // namespace
 
@@ -103,13 +73,13 @@ int main(int argc, char** argv) {
 
   // ---- raw lane kernels --------------------------------------------------
   rows.push_back({"nonzero_mask", "scalar", time_loop(iters, [&](u64 i) {
-                    return ref_nonzero_mask(preds[i % kPool].data());
+                    return scalar::nonzero_mask(preds[i % kPool].data());
                   })});
   rows.push_back({"nonzero_mask", "simd", time_loop(iters, [&](u64 i) {
                     return sim::simd::nonzero_mask(preds[i % kPool].data());
                   })});
   rows.push_back({"ballot", "scalar", time_loop(iters, [&](u64 i) {
-                    return ref_nonzero_mask(preds[i % kPool].data()) &
+                    return scalar::nonzero_mask(preds[i % kPool].data()) &
                            static_cast<u32>(i | 1u);
                   })});
   rows.push_back({"ballot", "simd", time_loop(iters, [&](u64 i) {
@@ -118,8 +88,8 @@ int main(int argc, char** argv) {
                   })});
   rows.push_back({"bit_ballots", "scalar", time_loop(iters, [&](u64 i) {
                     u32 b[kRounds];
-                    ref_bit_ballots(buckets[i % kPool].data(), kRounds,
-                                    kFullMask, b);
+                    scalar::bit_ballots(buckets[i % kPool].data(), kRounds,
+                                        kFullMask, b);
                     return b[0] ^ b[kRounds - 1];
                   })});
   rows.push_back({"bit_ballots", "simd", time_loop(iters, [&](u64 i) {
@@ -130,9 +100,9 @@ int main(int argc, char** argv) {
                   })});
   rows.push_back({"class_masks", "scalar", time_loop(iters, [&](u64 i) {
                     u32 b[kRounds], M[1u << kRounds];
-                    ref_bit_ballots(buckets[i % kPool].data(), kRounds,
-                                    kFullMask, b);
-                    ref_class_masks(kRounds, b, kFullMask, M);
+                    scalar::bit_ballots(buckets[i % kPool].data(), kRounds,
+                                        kFullMask, b);
+                    scalar::class_masks(kRounds, b, kFullMask, M);
                     return M[0] ^ M[31];
                   })});
   rows.push_back({"class_masks", "simd", time_loop(iters, [&](u64 i) {
@@ -142,29 +112,6 @@ int main(int argc, char** argv) {
                     sim::simd::class_masks(kRounds, b, kFullMask, M);
                     return M[0] ^ M[31];
                   })});
-
-  // ---- fused warp primitives (A/B via the runtime switch) ----------------
-  sim::Device dev;
-  sim::Warp w(dev, 0);
-  const bool simd_available = sim::simd::enabled();
-  const auto warp_rows = [&](const char* kernel, auto&& op) {
-    sim::simd::set_enabled(false);
-    rows.push_back({kernel, "scalar", time_loop(iters, op)});
-    if (simd_available) {
-      sim::simd::set_enabled(true);
-      rows.push_back({kernel, "simd", time_loop(iters, op)});
-    }
-  };
-  warp_rows("warp_histogram", [&](u64 i) {
-    return prim::warp_histogram(w, buckets[i % kPool], 32, kFullMask)[0];
-  });
-  warp_rows("warp_offsets", [&](u64 i) {
-    return prim::warp_offsets(w, buckets[i % kPool], 32, kFullMask)[0];
-  });
-  warp_rows("warp_rank", [&](u64 i) {
-    return prim::warp_rank(w, buckets[i % kPool], 32, kFullMask).offsets[0];
-  });
-  sim::simd::set_enabled(simd_available);
 
   // ---- report ------------------------------------------------------------
   std::printf("%16s %8s %12s %14s %10s\n", "kernel", "engine", "ns/op",

@@ -9,6 +9,15 @@
 // ballots compatible with the bucket it is responsible for (histogram) or
 // with its own element's bucket (offsets).  A final popc produces the
 // count / rank.  No shared memory, no divergence.
+//
+// The simulator runs the merged form the paper mentions: one pass builds
+// the class bitmap M[c] for every class c of the low r = ceil(log2 m)
+// bucket bits (sim::simd::bit_ballots + class_masks).  M[c] is the final
+// bitmap of the lane responsible for bucket c and of every lane whose own
+// bucket is in class c, so each output is one popc of an M entry.  Each
+// primitive then charges, in one charge_warp_op, the exact counter deltas
+// of the per-lane ballot loop it replaces; tests/test_warp_ops.cpp keeps
+// those loops as the oracle for both the values and the charges.
 #pragma once
 
 #include <vector>
@@ -17,51 +26,76 @@
 
 namespace ms::prim {
 
+namespace detail {
+
+/// Largest r = ceil(log2 m) the fused bitmap build handles: 2^8 class
+/// words fit on the stack.  Only warp_*_multi accept larger m.
+inline constexpr u32 kMaxFusedRounds = 8;
+
+/// M[c] for every class c in [0, 2^rounds): the valid lanes whose low
+/// `rounds` bucket bits equal c.
+inline void class_masks(const LaneArray<u32>& bucket_id, u32 rounds,
+                        LaneMask valid, u32* M) {
+  u32 ballots[kMaxFusedRounds];
+  sim::simd::bit_ballots(bucket_id.data(), rounds, valid, ballots);
+  sim::simd::class_masks(rounds, ballots, valid, M);
+}
+
+/// The counters of a per-lane ballot loop: `rounds` ballots over the valid
+/// lanes, `popcs` full-warp popcs, and `issue_slots` issue slots in all
+/// (ballots, select-and-mask updates, popcs and the prefix mask).
+inline void charge_ballot_loop(Warp& w, u32 rounds, LaneMask valid,
+                               u64 issue_slots, u64 popcs) {
+  const u64 pv = static_cast<u64>(std::popcount(valid));
+  w.charge_warp_op(issue_slots, /*ballot_rounds=*/rounds,
+                   /*simt_insts=*/rounds + popcs,
+                   /*simt_active_lanes=*/u64{rounds} * pv + kWarpSize * popcs);
+}
+
+/// Lanes strictly below `lane`: the part of its class bitmap that counts
+/// toward lane's rank.
+constexpr LaneMask lanes_below(u32 lane) { return (1u << lane) - 1u; }
+
+/// Algorithm 3 for rounds <= kMaxFusedRounds (shared by warp_offsets and
+/// warp_offsets_multi): lane i's rank is its own class bitmap restricted to
+/// the lanes below it.
+inline LaneArray<u32> offsets(Warp& w, const LaneArray<u32>& bucket_id,
+                              u32 rounds, LaneMask valid) {
+  alignas(32) u32 M[1u << kMaxFusedRounds];
+  class_masks(bucket_id, rounds, valid, M);
+  charge_ballot_loop(w, rounds, valid, /*issue_slots=*/2u * rounds + 2,
+                     /*popcs=*/1);
+  const u32 mb = (1u << rounds) - 1u;
+  LaneArray<u32> out;
+  for (u32 lane = 0; lane < kWarpSize; ++lane) {
+    out[lane] = static_cast<u32>(
+        std::popcount(M[bucket_id[lane] & mb] & lanes_below(lane)));
+  }
+  return out;
+}
+
+}  // namespace detail
+
 /// Algorithm 2: warp-level histogram for m <= 32 buckets.
 /// Lane i returns the number of valid elements of this warp whose bucket ID
 /// is i.  `valid` masks the lanes that actually hold elements (tail warps);
-/// invalid lanes are counted in no bucket.
+/// invalid lanes are counted in no bucket.  Lanes past the last class read
+/// M[i & (2^r - 1)], the wrap-around the per-lane (lane >> k) & 1 bit walk
+/// gives them.
 inline LaneArray<u32> warp_histogram(Warp& w, const LaneArray<u32>& bucket_id,
                                      u32 m, LaneMask valid = kFullMask) {
   check(m >= 1 && m <= kWarpSize, "warp_histogram: m out of range");
   const u32 rounds = ceil_log2(m);
-  if (sim::simd::enabled()) {
-    // Fused fast path: all class bitmaps in one shot, then one bulk charge
-    // with the exact counter deltas of the reference loop below (r ballots,
-    // r select-mask slots, one popc).  M[c] equals the final histo_bmp of
-    // the lane responsible for class c, so lane i reads M[i & (2^r - 1)] --
-    // the same wrap-around the reference's (lane >> k) & 1 bit walk gives
-    // lanes past the last class.
-    u32 ballots[8];
-    sim::simd::bit_ballots(bucket_id.data(), rounds, valid, ballots);
-    alignas(32) u32 M[kWarpSize];
-    sim::simd::class_masks(rounds, ballots, valid, M);
-    const u64 pv = static_cast<u64>(std::popcount(valid));
-    w.charge_warp_op(/*issue_slots=*/2u * rounds + 1,
-                     /*ballot_rounds=*/rounds,
-                     /*simt_insts=*/rounds + 1,
-                     /*simt_active_lanes=*/u64{rounds} * pv + kWarpSize);
-    const u32 mb = (1u << rounds) - 1u;
-    LaneArray<u32> out;
-    for (u32 lane = 0; lane < kWarpSize; ++lane) {
-      out[lane] = static_cast<u32>(std::popcount(M[lane & mb]));
-    }
-    return out;
+  alignas(32) u32 M[kWarpSize];
+  detail::class_masks(bucket_id, rounds, valid, M);
+  detail::charge_ballot_loop(w, rounds, valid, /*issue_slots=*/2u * rounds + 1,
+                             /*popcs=*/1);
+  const u32 mb = (1u << rounds) - 1u;
+  LaneArray<u32> out;
+  for (u32 lane = 0; lane < kWarpSize; ++lane) {
+    out[lane] = static_cast<u32>(std::popcount(M[lane & mb]));
   }
-  // Each lane is responsible for the bucket with index == its lane ID.
-  LaneArray<u32> histo_bmp = LaneArray<u32>::filled(valid);
-  LaneArray<u32> bits = bucket_id;
-  for (u32 k = 0; k < rounds; ++k) {
-    const LaneMask ballot =
-        w.ballot(bits.map([](u32 b) { return b & 1u; }), valid);
-    w.charge(1);  // select-and-mask (LOP3 on real hardware)
-    for (u32 lane = 0; lane < kWarpSize; ++lane) {
-      const bool my_bit = (lane >> k) & 1u;
-      histo_bmp[lane] &= my_bit ? ballot : ~ballot;
-    }
-    bits = bits.map([](u32 b) { return b >> 1; });
-  }
-  return w.popc(histo_bmp);
+  return out;
 }
 
 /// Algorithm 3: warp-level local offsets for m <= 32 buckets.
@@ -71,50 +105,7 @@ inline LaneArray<u32> warp_histogram(Warp& w, const LaneArray<u32>& bucket_id,
 inline LaneArray<u32> warp_offsets(Warp& w, const LaneArray<u32>& bucket_id,
                                    u32 m, LaneMask valid = kFullMask) {
   check(m >= 1 && m <= kWarpSize, "warp_offsets: m out of range");
-  const u32 rounds = ceil_log2(m);
-  if (sim::simd::enabled()) {
-    // Fused fast path; lane i's final offset_bmp is the class bitmap of its
-    // own bucket's low r bits, so the rank is a popc over M masked to the
-    // lanes strictly below i.
-    u32 ballots[8];
-    sim::simd::bit_ballots(bucket_id.data(), rounds, valid, ballots);
-    alignas(32) u32 M[kWarpSize];
-    sim::simd::class_masks(rounds, ballots, valid, M);
-    const u64 pv = static_cast<u64>(std::popcount(valid));
-    w.charge_warp_op(/*issue_slots=*/2u * rounds + 2,
-                     /*ballot_rounds=*/rounds,
-                     /*simt_insts=*/rounds + 1,
-                     /*simt_active_lanes=*/u64{rounds} * pv + kWarpSize);
-    const u32 mb = (1u << rounds) - 1u;
-    LaneArray<u32> out;
-    for (u32 lane = 0; lane < kWarpSize; ++lane) {
-      const u32 below = (lane == 0) ? 0u : (kFullMask >> (kWarpSize - lane));
-      out[lane] =
-          static_cast<u32>(std::popcount(M[bucket_id[lane] & mb] & below));
-    }
-    return out;
-  }
-  LaneArray<u32> offset_bmp = LaneArray<u32>::filled(valid);
-  LaneArray<u32> bits = bucket_id;
-  for (u32 k = 0; k < rounds; ++k) {
-    const LaneMask ballot =
-        w.ballot(bits.map([](u32 b) { return b & 1u; }), valid);
-    w.charge(1);
-    for (u32 lane = 0; lane < kWarpSize; ++lane) {
-      // Keep lanes whose broadcast bit matches *my element's* bit.
-      const bool my_bit = bits[lane] & 1u;
-      offset_bmp[lane] &= my_bit ? ballot : ~ballot;
-    }
-    bits = bits.map([](u32 b) { return b >> 1; });
-  }
-  // Count strictly-preceding set bits: mask bits [0, lane).
-  w.charge(1);
-  LaneArray<u32> masked;
-  for (u32 lane = 0; lane < kWarpSize; ++lane) {
-    const u32 below = (lane == 0) ? 0u : (kFullMask >> (kWarpSize - lane));
-    masked[lane] = offset_bmp[lane] & below;
-  }
-  return w.popc(masked);
+  return detail::offsets(w, bucket_id, ceil_log2(m), valid);
 }
 
 /// Merged histogram + local offsets (the paper notes Algorithms 2 and 3
@@ -130,53 +121,19 @@ inline WarpRank warp_rank(Warp& w, const LaneArray<u32>& bucket_id, u32 m,
                           LaneMask valid = kFullMask) {
   check(m >= 1 && m <= kWarpSize, "warp_rank: m out of range");
   const u32 rounds = ceil_log2(m);
-  if (sim::simd::enabled()) {
-    // Fused fast path: one class-mask build serves both outputs (the merge
-    // the paper describes), charged as the reference loop's r ballots, 2r
-    // select-mask slots, and two popcs.
-    u32 ballots[8];
-    sim::simd::bit_ballots(bucket_id.data(), rounds, valid, ballots);
-    alignas(32) u32 M[kWarpSize];
-    sim::simd::class_masks(rounds, ballots, valid, M);
-    const u64 pv = static_cast<u64>(std::popcount(valid));
-    w.charge_warp_op(/*issue_slots=*/3u * rounds + 3,
-                     /*ballot_rounds=*/rounds,
-                     /*simt_insts=*/rounds + 2,
-                     /*simt_active_lanes=*/u64{rounds} * pv + 2 * kWarpSize);
-    const u32 mb = (1u << rounds) - 1u;
-    WarpRank r;
-    for (u32 lane = 0; lane < kWarpSize; ++lane) {
-      const u32 below = (lane == 0) ? 0u : (kFullMask >> (kWarpSize - lane));
-      r.histogram[lane] = static_cast<u32>(std::popcount(M[lane & mb]));
-      r.offsets[lane] =
-          static_cast<u32>(std::popcount(M[bucket_id[lane] & mb] & below));
-    }
-    return r;
-  }
-  LaneArray<u32> histo_bmp = LaneArray<u32>::filled(valid);
-  LaneArray<u32> offset_bmp = LaneArray<u32>::filled(valid);
-  LaneArray<u32> bits = bucket_id;
-  for (u32 k = 0; k < rounds; ++k) {
-    const LaneMask ballot =
-        w.ballot(bits.map([](u32 b) { return b & 1u; }), valid);
-    w.charge(2);  // two select-and-mask updates off one ballot
-    for (u32 lane = 0; lane < kWarpSize; ++lane) {
-      const bool my_bit = bits[lane] & 1u;
-      const bool assigned_bit = (lane >> k) & 1u;
-      offset_bmp[lane] &= my_bit ? ballot : ~ballot;
-      histo_bmp[lane] &= assigned_bit ? ballot : ~ballot;
-    }
-    bits = bits.map([](u32 b) { return b >> 1; });
-  }
+  // One class-mask build serves both outputs, charged as the merged loop's
+  // r ballots, 2r select-mask slots, the prefix mask and two popcs.
+  alignas(32) u32 M[kWarpSize];
+  detail::class_masks(bucket_id, rounds, valid, M);
+  detail::charge_ballot_loop(w, rounds, valid, /*issue_slots=*/3u * rounds + 3,
+                             /*popcs=*/2);
+  const u32 mb = (1u << rounds) - 1u;
   WarpRank r;
-  r.histogram = w.popc(histo_bmp);
-  w.charge(1);
-  LaneArray<u32> masked;
   for (u32 lane = 0; lane < kWarpSize; ++lane) {
-    const u32 below = (lane == 0) ? 0u : (kFullMask >> (kWarpSize - lane));
-    masked[lane] = offset_bmp[lane] & below;
+    r.histogram[lane] = static_cast<u32>(std::popcount(M[lane & mb]));
+    r.offsets[lane] = static_cast<u32>(
+        std::popcount(M[bucket_id[lane] & mb] & detail::lanes_below(lane)));
   }
-  r.offsets = w.popc(masked);
   return r;
 }
 
@@ -189,20 +146,15 @@ inline std::vector<LaneArray<u32>> warp_histogram_multi(
     LaneMask valid = kFullMask) {
   const u32 groups = static_cast<u32>(ceil_div(m, kWarpSize));
   const u32 rounds = ceil_log2(m);
-  if (rounds <= 8 && sim::simd::enabled()) {
-    // Fused fast path for up to 256 classes (the stack bitmap's limit;
-    // larger m takes the reference loop).  Group g's lane i is responsible
-    // for bucket 32g + i, i.e. class (32g + i) & (2^r - 1).
-    u32 ballots[8];
-    sim::simd::bit_ballots(bucket_id.data(), rounds, valid, ballots);
-    alignas(32) u32 M[256];
-    sim::simd::class_masks(rounds, ballots, valid, M);
-    const u64 pv = static_cast<u64>(std::popcount(valid));
-    w.charge_warp_op(/*issue_slots=*/u64{rounds} * (groups + 2) + groups,
-                     /*ballot_rounds=*/rounds,
-                     /*simt_insts=*/u64{rounds} + groups,
-                     /*simt_active_lanes=*/u64{rounds} * pv +
-                         u64{kWarpSize} * groups);
+  if (rounds <= detail::kMaxFusedRounds) {
+    // Up to 256 classes fit the fused bitmap build.  Group g's lane i is
+    // responsible for bucket 32g + i, i.e. class (32g + i) & (2^r - 1).
+    alignas(32) u32 M[1u << detail::kMaxFusedRounds];
+    detail::class_masks(bucket_id, rounds, valid, M);
+    detail::charge_ballot_loop(w, rounds, valid,
+                               /*issue_slots=*/u64{rounds} * (groups + 2) +
+                                   groups,
+                               /*popcs=*/groups);
     const u32 mb = (1u << rounds) - 1u;
     std::vector<LaneArray<u32>> histo(groups);
     for (u32 g = 0; g < groups; ++g) {
@@ -213,6 +165,7 @@ inline std::vector<LaneArray<u32>> warp_histogram_multi(
     }
     return histo;
   }
+  // m > 256: the per-lane ballot loop, one bitmap per group.
   std::vector<LaneArray<u32>> bmp(groups, LaneArray<u32>::filled(valid));
   LaneArray<u32> bits = bucket_id;
   for (u32 k = 0; k < rounds; ++k) {
@@ -241,25 +194,10 @@ inline LaneArray<u32> warp_offsets_multi(Warp& w,
                                          const LaneArray<u32>& bucket_id,
                                          u32 m, LaneMask valid = kFullMask) {
   const u32 rounds = ceil_log2(m);
-  if (rounds <= 8 && sim::simd::enabled()) {
-    u32 ballots[8];
-    sim::simd::bit_ballots(bucket_id.data(), rounds, valid, ballots);
-    alignas(32) u32 M[256];
-    sim::simd::class_masks(rounds, ballots, valid, M);
-    const u64 pv = static_cast<u64>(std::popcount(valid));
-    w.charge_warp_op(/*issue_slots=*/2u * rounds + 2,
-                     /*ballot_rounds=*/rounds,
-                     /*simt_insts=*/rounds + 1,
-                     /*simt_active_lanes=*/u64{rounds} * pv + kWarpSize);
-    const u32 mb = (1u << rounds) - 1u;
-    LaneArray<u32> out;
-    for (u32 lane = 0; lane < kWarpSize; ++lane) {
-      const u32 below = (lane == 0) ? 0u : (kFullMask >> (kWarpSize - lane));
-      out[lane] =
-          static_cast<u32>(std::popcount(M[bucket_id[lane] & mb] & below));
-    }
-    return out;
+  if (rounds <= detail::kMaxFusedRounds) {
+    return detail::offsets(w, bucket_id, rounds, valid);
   }
+  // m > 256: the per-lane ballot loop, one bitmap whatever m is.
   LaneArray<u32> offset_bmp = LaneArray<u32>::filled(valid);
   LaneArray<u32> bits = bucket_id;
   for (u32 k = 0; k < rounds; ++k) {
@@ -275,8 +213,7 @@ inline LaneArray<u32> warp_offsets_multi(Warp& w,
   w.charge(1);
   LaneArray<u32> masked;
   for (u32 lane = 0; lane < kWarpSize; ++lane) {
-    const u32 below = (lane == 0) ? 0u : (kFullMask >> (kWarpSize - lane));
-    masked[lane] = offset_bmp[lane] & below;
+    masked[lane] = offset_bmp[lane] & detail::lanes_below(lane);
   }
   return w.popc(masked);
 }

@@ -12,7 +12,7 @@
 namespace ms::sim {
 
 namespace detail {
-thread_local CounterShard* t_shard = nullptr;
+constinit thread_local CounterShard* t_shard = nullptr;
 }  // namespace detail
 
 namespace {

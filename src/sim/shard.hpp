@@ -111,8 +111,11 @@ struct CounterShard {
 namespace detail {
 /// The shard of the item currently executing on this thread, or null on
 /// the serial path (and always null on the main thread).  Set by
-/// Device::run_items around each item body.
-extern thread_local CounterShard* t_shard;
+/// Device::run_items around each item body.  constinit: the variable has
+/// no dynamic initializer, so every access is a plain TLS load rather than
+/// a call through the thread_local init wrapper (which UBSan misreads as a
+/// null load at each inlined Device::shard()).
+extern constinit thread_local CounterShard* t_shard;
 }  // namespace detail
 
 }  // namespace ms::sim

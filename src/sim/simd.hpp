@@ -12,23 +12,20 @@
 //                                  M[c] = valid ∩ lanes whose low r bucket
 //                                  bits equal c (see primitives/warp_ops)
 //
-// Backend selection is compile-time (AVX2 > SSE2 > NEON > scalar; the
-// MS_SIMD=off CMake knob compiles the scalar loops unconditionally) plus a
-// runtime kill switch: the MS_SIMD environment variable ("off"/"scalar"/
-// "0") or simd::set_enabled(false) routes every caller back to its
-// original per-lane reference loop.  The callers gate on simd::enabled(),
-// keeping the reference implementation alive as the selectable fallback --
-// the SIMD-off ctest gate proves both paths produce byte-identical
-// reports.
+// There is one lane engine: every caller takes these kernels.  The backend
+// is a compile-time choice from what the target has (AVX2 > SSE2 > NEON >
+// the simd::scalar loops).  The MS_SIMD=off CMake option is a test build
+// configuration: it compiles the simd::scalar loops here (and the
+// no-vector paths of sim/cache.hpp) on a host that has vector units, so
+// the tolerance-0 baselines can be checked against them.  simd::scalar is
+// also the reference the vector kernels are tested and benchmarked
+// against.
 //
 // Nothing in here touches modeled costs: these are pure value computations
-// whose results feed the same charging formulas either way.
+// whose results feed the same charging formulas on every backend.
 #pragma once
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "sim/types.hpp"
 
@@ -48,64 +45,58 @@
 
 namespace ms::sim::simd {
 
-enum class Backend { kScalar, kSse2, kAvx2, kNeon };
-
-constexpr Backend compiled_backend() {
+/// Name of the compiled lane engine, as surfaced in --json reports and
+/// `ms_cli --version` ("host_simd").
+constexpr const char* backend_name() {
 #if defined(MS_SIMD_AVX2)
-  return Backend::kAvx2;
+  return "avx2";
 #elif defined(MS_SIMD_SSE2)
-  return Backend::kSse2;
+  return "sse2";
 #elif defined(MS_SIMD_NEON)
-  return Backend::kNeon;
+  return "neon";
 #else
-  return Backend::kScalar;
+  return "scalar";
 #endif
 }
 
-namespace detail {
-inline std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{[] {
-    const char* e = std::getenv("MS_SIMD");
-    return !(e != nullptr &&
-             (std::strcmp(e, "off") == 0 || std::strcmp(e, "scalar") == 0 ||
-              std::strcmp(e, "0") == 0));
-  }()};
-  return flag;
-}
-}  // namespace detail
+// ---------------------------------------------------------------------------
+// Scalar reference kernels: the plain per-lane loops.  The no-vector build
+// runs them, and tests/test_lane_array.cpp and bench/lane_ops.cpp compare
+// the vector kernels below against them.
+// ---------------------------------------------------------------------------
+namespace scalar {
 
-/// True when callers should take their vector fast path.  Constant-false
-/// in scalar-only builds so the branch folds away.
-inline bool enabled() {
-  if constexpr (compiled_backend() == Backend::kScalar) {
-    return false;
-  } else {
-    return detail::enabled_flag().load(std::memory_order_relaxed);
+inline u32 nonzero_mask(const u32* v) {
+  u32 out = 0;
+  for (u32 i = 0; i < kWarpSize; ++i) out |= (v[i] != 0 ? 1u : 0u) << i;
+  return out;
+}
+
+inline void bit_ballots(const u32* bucket, u32 rounds, LaneMask valid,
+                        u32* ballots) {
+  for (u32 k = 0; k < rounds; ++k) {
+    u32 mask = 0;
+    for (u32 i = 0; i < kWarpSize; ++i) mask |= ((bucket[i] >> k) & 1u) << i;
+    ballots[k] = mask & valid;
   }
 }
 
-/// Runtime toggle (tests and benches A/B the two paths in one process).
-/// No-op in scalar-only builds.
-inline void set_enabled(bool on) {
-  detail::enabled_flag().store(on, std::memory_order_relaxed);
+inline void class_masks(u32 rounds, const u32* ballots, LaneMask valid,
+                        u32* M) {
+  const u32 classes = 1u << rounds;
+  for (u32 c = 0; c < classes; ++c) M[c] = valid;
+  for (u32 k = 0; k < rounds; ++k) {
+    const u32 b = ballots[k];
+    for (u32 c = 0; c < classes; ++c) M[c] &= b ^ (((c >> k) & 1u) - 1u);
+  }
 }
 
-/// Name of the lane engine actually in use, as surfaced in --json reports
-/// and `ms_cli --version` ("host_simd").
-inline const char* backend_name() {
-  if (!enabled()) return "scalar";
-  switch (compiled_backend()) {
-    case Backend::kAvx2: return "avx2";
-    case Backend::kSse2: return "sse2";
-    case Backend::kNeon: return "neon";
-    case Backend::kScalar: return "scalar";
-  }
-  return "scalar";
-}
+}  // namespace scalar
 
 // ---------------------------------------------------------------------------
 // Lane-parallel kernels.  Each has one vector implementation per backend
-// and a scalar loop; results are bit-identical by construction.
+// and falls back to its simd::scalar loop; results are bit-identical by
+// construction.
 // ---------------------------------------------------------------------------
 
 /// Bit i of the result: v[i] != 0.  The core of __ballot/__any/__all.
@@ -145,11 +136,7 @@ inline u32 nonzero_mask(const u32* v) {
   }
   return out;
 #else
-  u32 out = 0;
-  for (u32 i = 0; i < kWarpSize; ++i) {
-    out |= (v[i] != 0 ? 1u : 0u) << i;
-  }
-  return out;
+  return scalar::nonzero_mask(v);
 #endif
 }
 
@@ -205,13 +192,7 @@ inline void bit_ballots(const u32* bucket, u32 rounds, LaneMask valid,
     ballots[k] = mask & valid;
   }
 #else
-  for (u32 k = 0; k < rounds; ++k) {
-    u32 mask = 0;
-    for (u32 i = 0; i < kWarpSize; ++i) {
-      mask |= ((bucket[i] >> k) & 1u) << i;
-    }
-    ballots[k] = mask & valid;
-  }
+  scalar::bit_ballots(bucket, rounds, valid, ballots);
 #endif
 }
 
@@ -225,10 +206,9 @@ inline void bit_ballots(const u32* bucket, u32 rounds, LaneMask valid,
 /// (rounds <= 8 across this library: m <= 256).
 inline void class_masks(u32 rounds, const u32* ballots, LaneMask valid,
                         u32* M) {
-  const u32 classes = 1u << rounds;
 #if defined(MS_SIMD_AVX2)
+  const u32 classes = 1u << rounds;
   if (classes >= 8) {
-    const __m256i ones = _mm256_set1_epi32(-1);
     for (u32 c0 = 0; c0 < classes; c0 += 8) {
       __m256i m = _mm256_set1_epi32(static_cast<int>(valid));
       const __m256i c = _mm256_setr_epi32(
@@ -243,20 +223,13 @@ inline void class_masks(u32 rounds, const u32* ballots, LaneMask valid,
             _mm256_srli_epi32(c, static_cast<int>(k)), _mm256_set1_epi32(1));
         const __m256i sel = _mm256_sub_epi32(bit, _mm256_set1_epi32(1));
         m = _mm256_and_si256(m, _mm256_xor_si256(b, sel));
-        (void)ones;
       }
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(M + c0), m);
     }
     return;
   }
 #endif
-  for (u32 c = 0; c < classes; ++c) M[c] = valid;
-  for (u32 k = 0; k < rounds; ++k) {
-    const u32 b = ballots[k];
-    for (u32 c = 0; c < classes; ++c) {
-      M[c] &= b ^ (((c >> k) & 1u) - 1u);
-    }
-  }
+  scalar::class_masks(rounds, ballots, valid, M);
 }
 
 }  // namespace ms::sim::simd

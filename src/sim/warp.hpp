@@ -56,12 +56,12 @@ class Warp {
   /// are the divergence-visible instruction stream.
   void charge(u64 slots) { dev_->events().issue_slots += slots; }
 
-  /// Bulk charge for a fused warp-level primitive (primitives/warp_ops.hpp,
-  /// primitives/warp_scan.hpp): the exact counter deltas the unfused
-  /// instruction sequence would have accumulated, applied in one shot.  The
-  /// fused fast paths are only bit-identical to their reference loops
-  /// because these deltas follow the closed forms derived from them --
-  /// change a reference implementation and the formula must change with it.
+  /// Bulk charge for a fused warp-level primitive (primitives/warp_ops.hpp):
+  /// the exact counter deltas the unfused per-lane instruction sequence of
+  /// Algorithms 2 and 3 would have accumulated, applied in one shot.  The
+  /// closed forms are derived from those loops, which tests/test_warp_ops.cpp
+  /// keeps as the oracle -- a change to the modeled instruction sequence
+  /// must change the formula and that oracle together.
   void charge_warp_op(u64 issue_slots, u64 ballot_rounds, u64 simt_insts,
                       u64 simt_active_lanes) {
     auto& ev = dev_->events();
@@ -78,34 +78,21 @@ class Warp {
     dev_->events().issue_slots += 1;
     dev_->events().ballot_rounds += 1;
     count_simt(active);
-    if (simd::enabled()) return simd::ballot(pred.data(), active);
-    LaneMask out = 0;
-    for_each_lane(active, [&](u32 lane) {
-      if (pred[lane] != 0) out |= (1u << lane);
-    });
-    return out;
+    return simd::ballot(pred.data(), active);
   }
 
   /// CUDA __any: true if any active lane's predicate is non-zero.
   bool any(const LaneArray<u32>& pred, LaneMask active = kFullMask) {
     dev_->events().issue_slots += 1;
     count_simt(active);
-    if (simd::enabled()) return (simd::nonzero_mask(pred.data()) & active) != 0;
-    bool out = false;
-    for_each_lane(active, [&](u32 lane) { out |= (pred[lane] != 0); });
-    return out;
+    return (simd::nonzero_mask(pred.data()) & active) != 0;
   }
 
   /// CUDA __all: true if every active lane's predicate is non-zero.
   bool all(const LaneArray<u32>& pred, LaneMask active = kFullMask) {
     dev_->events().issue_slots += 1;
     count_simt(active);
-    if (simd::enabled()) {
-      return (simd::nonzero_mask(pred.data()) & active) == active;
-    }
-    bool out = true;
-    for_each_lane(active, [&](u32 lane) { out &= (pred[lane] != 0); });
-    return out;
+    return (simd::nonzero_mask(pred.data()) & active) == active;
   }
 
   // ----------------------------------------------------------------- shfl

@@ -1,12 +1,12 @@
 // Unit tests for the fundamental simulator types: LaneArray, lane masks,
 // and the small integer helpers everything else leans on -- plus the
 // randomized property tests pinning the SIMD lane engine (sim/simd.hpp)
-// to its scalar reference loops bit for bit.
+// to its simd::scalar reference loops bit for bit.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
-#include "primitives/warp_ops.hpp"
 #include "sim/simd.hpp"
 #include "sim/types.hpp"
 
@@ -101,11 +101,9 @@ TEST(IntHelpers, CheckThrowsWithMessage) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD lane engine: every vector kernel against its scalar reference loop.
-// The simd:: entry points compile to the widest available backend
-// unconditionally (callers gate on simd::enabled()), so these tests
-// exercise the vector code directly -- in an MS_SIMD=off build they
-// degenerate into scalar-vs-scalar and stay green by construction.
+// SIMD lane engine: every vector kernel against its simd::scalar reference
+// loop.  In an MS_SIMD=off build the kernels are those loops, so these
+// tests compare scalar with scalar and pass by construction.
 // ---------------------------------------------------------------------------
 
 // The mask shapes most likely to break lane<->bit plumbing: empty, lane 0
@@ -114,29 +112,7 @@ TEST(IntHelpers, CheckThrowsWithMessage) {
 constexpr LaneMask kEdgeMasks[] = {0x0u,        0x1u,        0x80000000u,
                                    0xAAAAAAAAu, 0x55555555u, kFullMask};
 
-u32 ref_nonzero_mask(const u32* v) {
-  u32 out = 0;
-  for (u32 i = 0; i < kWarpSize; ++i) out |= (v[i] != 0 ? 1u : 0u) << i;
-  return out;
-}
-
-void ref_bit_ballots(const u32* bucket, u32 rounds, LaneMask valid,
-                     u32* ballots) {
-  for (u32 k = 0; k < rounds; ++k) {
-    u32 mask = 0;
-    for (u32 i = 0; i < kWarpSize; ++i) mask |= ((bucket[i] >> k) & 1u) << i;
-    ballots[k] = mask & valid;
-  }
-}
-
-void ref_class_masks(u32 rounds, const u32* ballots, LaneMask valid, u32* M) {
-  const u32 classes = 1u << rounds;
-  for (u32 c = 0; c < classes; ++c) M[c] = valid;
-  for (u32 k = 0; k < rounds; ++k) {
-    const u32 b = ballots[k];
-    for (u32 c = 0; c < classes; ++c) M[c] &= b ^ (((c >> k) & 1u) - 1u);
-  }
-}
+namespace scalar = sim::simd::scalar;
 
 TEST(SimdLaneEngine, NonzeroMaskMatchesReference) {
   std::mt19937 rng(2016);
@@ -152,7 +128,7 @@ TEST(SimdLaneEngine, NonzeroMaskMatchesReference) {
         default: v[i] = rng(); break;
       }
     }
-    ASSERT_EQ(sim::simd::nonzero_mask(v.data()), ref_nonzero_mask(v.data()));
+    ASSERT_EQ(sim::simd::nonzero_mask(v.data()), scalar::nonzero_mask(v.data()));
   }
   // Single-lane patterns: exactly one nonzero lane at each position.
   for (u32 lane = 0; lane < kWarpSize; ++lane) {
@@ -169,11 +145,11 @@ TEST(SimdLaneEngine, BallotMatchesReferenceUnderEdgeMasks) {
     for (u32 i = 0; i < kWarpSize; ++i) pred[i] = rng() & 1u ? rng() | 1u : 0u;
     for (LaneMask active : kEdgeMasks) {
       ASSERT_EQ(sim::simd::ballot(pred.data(), active),
-                ref_nonzero_mask(pred.data()) & active);
+                scalar::nonzero_mask(pred.data()) & active);
     }
     const LaneMask random_mask = rng();
     ASSERT_EQ(sim::simd::ballot(pred.data(), random_mask),
-              ref_nonzero_mask(pred.data()) & random_mask);
+              scalar::nonzero_mask(pred.data()) & random_mask);
   }
 }
 
@@ -187,7 +163,7 @@ TEST(SimdLaneEngine, BitBallotsMatchesReferenceForAllRounds) {
           trial < 6 ? kEdgeMasks[trial] : static_cast<LaneMask>(rng());
       u32 got[8], want[8];
       sim::simd::bit_ballots(bucket.data(), rounds, valid, got);
-      ref_bit_ballots(bucket.data(), rounds, valid, want);
+      scalar::bit_ballots(bucket.data(), rounds, valid, want);
       for (u32 k = 0; k < rounds; ++k) {
         ASSERT_EQ(got[k], want[k]) << "rounds=" << rounds << " k=" << k;
       }
@@ -208,7 +184,7 @@ TEST(SimdLaneEngine, ClassMasksMatchReferenceAndPartitionValid) {
       sim::simd::bit_ballots(bucket.data(), rounds, valid, ballots);
       std::vector<u32> got(classes), want(classes);
       sim::simd::class_masks(rounds, ballots, valid, got.data());
-      ref_class_masks(rounds, ballots, valid, want.data());
+      scalar::class_masks(rounds, ballots, valid, want.data());
       LaneMask unioned = 0;
       for (u32 c = 0; c < classes; ++c) {
         ASSERT_EQ(got[c], want[c]) << "rounds=" << rounds << " class " << c;
@@ -223,43 +199,6 @@ TEST(SimdLaneEngine, ClassMasksMatchReferenceAndPartitionValid) {
       ASSERT_EQ(unioned, valid) << "union must cover exactly the valid lanes";
     }
   }
-}
-
-// A/B the fused warp primitives through the runtime switch: same inputs,
-// same Device, scalar and vector engines must agree lane for lane.  In a
-// scalar-only build set_enabled is a no-op and both runs take the
-// reference path.
-TEST(SimdLaneEngine, FusedWarpOpsBitIdenticalAcrossEngines) {
-  const bool was_enabled = sim::simd::enabled();
-  std::mt19937 rng(777);
-  sim::Device dev;
-  sim::Warp w(dev, 0);
-  for (u32 m : {1u, 2u, 3u, 5u, 8u, 17u, 32u}) {
-    for (int trial = 0; trial < 50; ++trial) {
-      LaneArray<u32> bucket;
-      for (u32 i = 0; i < kWarpSize; ++i) bucket[i] = rng() % m;
-      const LaneMask valid =
-          trial < 6 ? kEdgeMasks[trial] : static_cast<LaneMask>(rng());
-      if (valid == 0) continue;  // warp ops require at least one lane
-      sim::simd::set_enabled(false);
-      const auto h_s = prim::warp_histogram(w, bucket, m, valid);
-      const auto o_s = prim::warp_offsets(w, bucket, m, valid);
-      const auto r_s = prim::warp_rank(w, bucket, m, valid);
-      sim::simd::set_enabled(true);
-      const auto h_v = prim::warp_histogram(w, bucket, m, valid);
-      const auto o_v = prim::warp_offsets(w, bucket, m, valid);
-      const auto r_v = prim::warp_rank(w, bucket, m, valid);
-      for (u32 i = 0; i < kWarpSize; ++i) {
-        ASSERT_EQ(h_s[i], h_v[i]) << "histogram lane " << i << " m=" << m;
-        ASSERT_EQ(r_s.histogram[i], r_v.histogram[i]) << "rank.hist " << i;
-      }
-      for_each_lane(valid, [&](u32 i) {
-        ASSERT_EQ(o_s[i], o_v[i]) << "offsets lane " << i << " m=" << m;
-        ASSERT_EQ(r_s.offsets[i], r_v.offsets[i]) << "rank.off " << i;
-      });
-    }
-  }
-  sim::simd::set_enabled(was_enabled);
 }
 
 }  // namespace
