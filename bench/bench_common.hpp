@@ -352,7 +352,7 @@ class JsonReport {
     w_->field("bench", bench);
     w_->field("schema_version", sim::kReportSchemaVersion);
     w_->field("device", opt.profile().name);
-    // Additive, never compared by check_bench: records which host lane
+    // A host_* field, never compared by ms_cli diff: records which host lane
     // engine produced the run (modeled results are backend-invariant).
     w_->field("host_simd", sim::simd::backend_name());
     w_->field("log2_n", opt.log2_n);

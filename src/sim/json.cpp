@@ -107,6 +107,11 @@ JsonWriter& JsonWriter::value(std::string_view v) {
 
 JsonWriter& JsonWriter::value(f64 v) {
   begin_value();
+  // JSON has no inf/nan literals; null keeps the document parseable.
+  if (!std::isfinite(v)) {
+    *os_ << "null";
+    return *this;
+  }
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   *os_ << buf;

@@ -798,7 +798,8 @@ void diff_value(DiffCtx& ctx, const std::string& path, const JsonValue& base,
       if (a == b) break;
       const f64 denom = std::max(std::fabs(a), std::fabs(b));
       const f64 drift = denom > 0.0 ? std::fabs(b - a) / denom : 0.0;
-      if (drift > ctx.opts->tolerance) {
+      // Negated so a NaN drift (inf against a finite value) is a finding.
+      if (!(drift <= ctx.opts->tolerance)) {
         ctx.finding(path,
                     strf("baseline %s, current %s (%+.4g%% drift)",
                          num_str(a).c_str(), num_str(b).c_str(),

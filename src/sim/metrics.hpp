@@ -46,7 +46,7 @@ class Device;
 
 /// Version stamp of every JSON report this repository writes (ms_cli
 /// --json, bench --json, metrics sections, diff output).  Consumers
-/// (check_bench.py, ms_cli diff) reject mismatched versions instead of
+/// (ms_cli diff, bench_history.py) reject mismatched versions instead of
 /// mis-parsing.  Bump when a field changes meaning or moves.
 /// v4: reports gain the device sub-allocator stats block ("allocator")
 /// and result rows record the concrete method ("method_selected").

@@ -392,6 +392,17 @@ TEST(ReportDiff, ToleranceSuppressesSmallDrift) {
   // Exact tolerance 0: any numeric change is a finding.
   EXPECT_EQ(
       diff_reports(parse_json(base), parse_json(cur)).total_findings, 1u);
+  // inf against a finite value has NaN relative drift; no tolerance may
+  // swallow it.
+  const char* inf = R"({"schema_version":8,"results":[
+    {"name":"k","time_ms":1e999}]})";
+  opts.tolerance = 0.5;
+  EXPECT_EQ(diff_reports(parse_json(base), parse_json(inf), opts)
+                .total_findings,
+            1u);
+  EXPECT_EQ(diff_reports(parse_json(inf), parse_json(base), opts)
+                .total_findings,
+            1u);
 }
 
 TEST(ReportDiff, RowOrderDoesNotMatter) {

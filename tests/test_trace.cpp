@@ -2,6 +2,7 @@
 // profiler export (what chrome://tracing and Perfetto require to load it).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -21,6 +22,7 @@ TEST(Json, WriterParserRoundTrip) {
   w.field("pi", 3.141592653589793);
   w.field("neg", i64{-42});
   w.field("yes", true);
+  w.field("nan", std::nan(""));
   w.key("list").begin_array();
   w.value(u64{1}).value(u64{2});
   w.begin_object().field("nested", "x").end_object();
@@ -37,6 +39,7 @@ TEST(Json, WriterParserRoundTrip) {
   EXPECT_DOUBLE_EQ(v.at("pi").number, 3.141592653589793);
   EXPECT_DOUBLE_EQ(v.at("neg").number, -42.0);
   EXPECT_TRUE(v.at("yes").boolean);
+  EXPECT_EQ(v.at("nan").type, JsonValue::Type::kNull);  // no NaN in JSON
   ASSERT_TRUE(v.at("list").is_array());
   ASSERT_EQ(v.at("list").array.size(), 3u);
   EXPECT_EQ(v.at("list").array[2].at("nested").str, "x");

@@ -24,14 +24,15 @@ import json
 import sys
 from pathlib import Path
 
-# Must match kReportSchemaVersion (src/sim/metrics.hpp) and
-# check_bench.py's SCHEMA_VERSION.  History records are append-only, so
-# older stamps stay readable as long as the record fields are unchanged:
-# v6 only added the "resilience" block to metrics reports and v7 only
-# touched span dumps / timeline exemplars -- history rows carry the same
-# fields as v5.  v8 adds the "batching" block and serving rows'
+# Report schema versions (kReportSchemaVersion, src/sim/metrics.hpp) this
+# tool reads; `check_bench.py record` stamps each line with the version of
+# the report it ran, so a schema bump must add itself here (the
+# bench_history_selfcheck test fails until it does).  History records are
+# append-only, so older stamps stay readable as long as the record fields
+# are unchanged: v6 only added the "resilience" block to metrics reports
+# and v7 only touched span dumps / timeline exemplars -- history rows carry
+# the same fields as v5.  v8 adds the "batching" block and serving rows'
 # requests_per_sec; every earlier field is unchanged.
-SCHEMA_VERSION = 8
 COMPATIBLE_VERSIONS = (5, 6, 7, 8)
 
 REQUIRED_FIELDS = (

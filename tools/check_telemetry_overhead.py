@@ -4,10 +4,11 @@
 Runs bench/plan_reuse twice -- telemetry off and telemetry on -- and
 enforces the two contracts of DESIGN.md §11:
 
-  1. Modeled costs are tolerance-0 identical.  The --json reports must
-     match exactly after stripping the host_* keys (host wall-clock is the
-     only thing allowed to differ).  Any drift in a modeled number means
-     telemetry wrote to simulator state it should only read.
+  1. Modeled costs are tolerance-0 identical: `ms_cli diff --tolerance 0`
+     of the two --json reports finds no drift (it skips the host_* keys;
+     host wall-clock is the only thing allowed to differ).  Any drift in a
+     modeled number means telemetry wrote to simulator state it should
+     only read.
   2. Host overhead stays below 5%.  Both modes run several times and the
      *minimum* wall times are compared (min-of-N is the noise-resistant
      statistic; means conflate scheduler noise with real overhead).  A
@@ -18,7 +19,8 @@ Also checks the telemetry run actually produced a usable timeline (header
 plus at least one snapshot) -- a silently empty file would make the
 overhead comparison meaningless.
 
-Usage: check_telemetry_overhead.py <plan_reuse-binary> [runs] [max_pct]
+Usage: check_telemetry_overhead.py <plan_reuse-binary> <ms_cli-binary>
+                                   [runs] [max_pct]
 """
 
 import json
@@ -33,17 +35,6 @@ from pathlib import Path
 ABS_SLACK_SEC = 0.05
 
 
-def strip_host(node):
-    """Drop host-timing keys (host_ms, host_keys_per_sec, ...) everywhere:
-    they measure the machine, not the model."""
-    if isinstance(node, dict):
-        return {k: strip_host(v) for k, v in node.items()
-                if not k.startswith("host_")}
-    if isinstance(node, list):
-        return [strip_host(v) for v in node]
-    return node
-
-
 def timed_run(cmd):
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, stdout=subprocess.DEVNULL)
@@ -55,12 +46,12 @@ def timed_run(cmd):
 
 
 def main():
-    if len(sys.argv) < 2:
+    if len(sys.argv) < 3:
         print(__doc__, file=sys.stderr)
         return 2
-    bench = Path(sys.argv[1])
-    runs = int(sys.argv[2]) if len(sys.argv) > 2 else 3
-    max_pct = float(sys.argv[3]) if len(sys.argv) > 3 else 5.0
+    bench, ms_cli = Path(sys.argv[1]), Path(sys.argv[2])
+    runs = int(sys.argv[3]) if len(sys.argv) > 3 else 3
+    max_pct = float(sys.argv[4]) if len(sys.argv) > 4 else 5.0
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -74,17 +65,19 @@ def main():
             on_times.append(timed_run(
                 [bench, "--json", on_json, "--telemetry", timeline]))
 
-        off_doc = json.loads(off_json.read_text())
-        on_doc = json.loads(on_json.read_text())
+        diff = subprocess.run(
+            [ms_cli, "diff", off_json, on_json, "--tolerance", "0"],
+            capture_output=True, text=True)
         lines = [l for l in timeline.read_text().splitlines() if l.strip()]
 
     failures = []
 
     # Contract 1: modeled costs tolerance-0.
-    if strip_host(off_doc) != strip_host(on_doc):
+    print(diff.stdout, end="")
+    if diff.returncode != 0:
         failures.append(
-            "modeled results differ between telemetry off and on "
-            "(compare the two --json reports with host_* stripped)")
+            f"ms_cli diff of the telemetry off/on reports exited "
+            f"{diff.returncode}; its DRIFT lines above name the fields")
 
     # Contract 2: host overhead bounded.
     t_off, t_on = min(off_times), min(on_times)
